@@ -1,7 +1,7 @@
 """Max-min spectrum allocation for NC-OFDM cognitive-radio links.
 
 Exact branch-and-bound allocation under a per-link spectral-span cap, an
-exhaustive oracle for cross-validation, scenario simulation (fading,
+exhaustive oracle that the tests cross-validate it with, scenario simulation (fading,
 interference, reallocation experiments, span trade-off sweeps) and a
 guardband post-processing pass.
 """
@@ -11,7 +11,6 @@ from .model import (
     BOLTZMANN_J_PER_K,
     GainMatrix,
     InterfererSpec,
-    InterferenceMatrix,
     LinkSpec,
     ProblemInstance,
     RateResult,
@@ -26,18 +25,13 @@ from .model import (
     spectral_span,
 )
 from .solver import (
-    MaxMinProblem,
-    MilpPoint,
     SolveResult,
-    build_milp,
     solve,
     verify_solution,
 )
 from .oracle import (
     EnumerationBudgetError,
-    TradeoffCurve,
     brute_force,
-    tradeoff_curve,
 )
 from .guardband import (
     GuardbandReport,
@@ -48,6 +42,7 @@ from .guardband import (
 from .scenario import (
     BUILTIN_SCENARIOS,
     ExperimentResult,
+    TradeoffCurve,
     builtin_scenario,
     instance_from_gains,
     interference_row,

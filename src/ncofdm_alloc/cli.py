@@ -24,12 +24,11 @@ import numpy as np
 
 from . import __version__
 from .guardband import GUARDBAND_MODES, insert_guardbands, validate_guardbands
-from .model import AllocationMatrix, RateResult, ValidationError, link_rate
+from .model import AllocationMatrix, RateResult, ValidationError, sequential_sum
 from .scenario import (
     BUILTIN_SCENARIOS,
     builtin_scenario,
-    interference_row,
-    load_scenario,
+    read_scenario,
     realize_instance,
     reallocation_experiment,
     resolve_interferers,
@@ -70,8 +69,7 @@ def _load_config(args):
     if getattr(args, "config", None) and getattr(args, "scenario", None):
         raise ValidationError("give either --config or --scenario, not both")
     if getattr(args, "config", None):
-        cfg = load_scenario(args.config)
-        config_bytes = Path(args.config).read_bytes()
+        cfg, config_bytes = read_scenario(args.config)
     elif getattr(args, "scenario", None):
         cfg = builtin_scenario(args.scenario)
         config_bytes = json.dumps(scenario_to_dict(cfg),
@@ -239,7 +237,10 @@ def _read_matrix_csv(path: Path):
             values.append([float(x) for x in row[1:]])
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric cell") from exc
-    return ids, np.array(values)
+    values = np.array(values)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{path}: non-finite cell")
+    return ids, values
 
 
 def cmd_guardband(args) -> int:
@@ -252,13 +253,13 @@ def cmd_guardband(args) -> int:
     if not np.isin(alloc_values, (0.0, 1.0)).all():
         raise ValidationError("allocation entries must be 0 or 1")
     allocation = AllocationMatrix(alloc_values.astype(np.int8))
-    per_link = np.array([link_rate(rate_values[l],
-                                   np.ones(rate_values.shape[1], dtype=np.int8))
-                         for l in range(rate_values.shape[0])])
+    per_link = np.array([sequential_sum(row) for row in rate_values])
     rates = RateResult(per_channel=rate_values, per_link=per_link,
                        maxmin=float(per_link.min()) if per_link.size else 0.0)
     report = insert_guardbands(allocation, rates, mode=args.guardband_mode)
-    assert validate_guardbands(report.output_allocation)
+    if not validate_guardbands(report.output_allocation):
+        raise RuntimeError("guarded allocation still has adjacent links; "
+                           "guardband bug")
 
     out = _out_dir(args)
     _write_allocation_csv(out / "guarded_allocation.csv", ids_a,

@@ -29,7 +29,7 @@ from .model import (
     RateResult,
     ValidationError,
     as_allocation,
-    link_rate,
+    sequential_sum,
 )
 
 GUARDBAND_MODES = ("cut-poorer", "cut-richer")
@@ -54,23 +54,13 @@ class GuardbandReport:
     output_rates: RateResult
 
 
-def _owners(alloc: AllocationMatrix) -> list[int]:
-    owners = [-1] * alloc.num_channels
-    for l in range(alloc.num_links):
-        for m in np.flatnonzero(alloc.entries[l]):
-            owners[int(m)] = l
-    return owners
-
-
 def _check_consistent(alloc: AllocationMatrix, rates: RateResult) -> None:
     if rates.per_channel.shape != alloc.entries.shape:
         raise ValidationError("rates and allocation shapes differ")
     if np.any((alloc.entries == 0) & (rates.per_channel != 0)):
         raise ValidationError("nonzero rate on an unassigned channel")
     for l in range(alloc.num_links):
-        expect = link_rate(rates.per_channel[l],
-                           np.ones(alloc.num_channels, dtype=np.int8))
-        if float(rates.per_link[l]) != expect:
+        if float(rates.per_link[l]) != sequential_sum(rates.per_channel[l]):
             raise ValidationError(f"per-link rate mismatch for link {l + 1}")
 
 
@@ -92,7 +82,7 @@ def insert_guardbands(allocation, rates: RateResult,
     entries = np.array(alloc.entries)
     per_channel = np.array(rates.per_channel)
     totals = [float(x) for x in rates.per_link]   # static during the sweep
-    owners = _owners(alloc)
+    owners = alloc.owner_vector()
     events: list[NulledChannel] = []
 
     prev_owner = owners[0]
@@ -118,9 +108,7 @@ def insert_guardbands(allocation, rates: RateResult,
         prev_chan = m
 
     out_alloc = AllocationMatrix(entries)
-    per_link = np.array([link_rate(per_channel[l],
-                                   np.ones(m_total, dtype=np.int8))
-                         for l in range(alloc.num_links)])
+    per_link = np.array([sequential_sum(row) for row in per_channel])
     out_rates = RateResult(per_channel=per_channel,
                            per_link=per_link,
                            maxmin=float(per_link.min()))
@@ -137,7 +125,7 @@ def validate_guardbands(allocation) -> bool:
     alloc = as_allocation(allocation)
     if not alloc.is_orthogonal():
         raise ValidationError("allocation shares a channel between links")
-    owners = _owners(alloc)
+    owners = alloc.owner_vector()
     for m in range(1, alloc.num_channels):
         a, b = owners[m - 1], owners[m]
         if a >= 0 and b >= 0 and a != b:

@@ -263,22 +263,6 @@ class GainMatrix:
 
 
 @dataclass(frozen=True)
-class InterferenceMatrix:
-    """Received interference power in Watts, one per (link, channel)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(self.values, dtype=np.float64)
-        if u.ndim != 2:
-            raise ValidationError("interference matrix must be 2-D")
-        if not np.all(np.isfinite(u)) or np.any(u < 0):
-            raise ValidationError("interference must be finite and >= 0")
-        u.setflags(write=False)
-        object.__setattr__(self, "values", u)
-
-
-@dataclass(frozen=True)
 class AllocationMatrix:
     """Binary channel assignment, one row per link.
 
@@ -452,14 +436,21 @@ def spectral_span(row) -> int:
     return int(occupied[-1]) - int(occupied[0]) + 1
 
 
-def link_rate(capacity_row, allocation_row) -> float:
-    """Canonical per-link rate: sequential sum of assigned capacities in
-    ascending channel order. All objective arithmetic goes through here."""
+def sequential_sum(values) -> float:
+    """Left-to-right float sum; all objective arithmetic goes through here.
+    Builtin sum() compensates rounding from Python 3.12 and np.sum adds
+    pairwise; either can change the last bits."""
     total = 0.0
-    for m in range(len(allocation_row)):
-        if allocation_row[m]:
-            total += float(capacity_row[m])
+    for v in values:
+        total += float(v)
     return total
+
+
+def link_rate(capacity_row, allocation_row) -> float:
+    """Canonical per-link rate: the sequential sum of assigned capacities
+    in ascending channel order."""
+    return sequential_sum(capacity_row[m] for m in range(len(allocation_row))
+                          if allocation_row[m])
 
 
 def evaluate_rates(inst: ProblemInstance, allocation) -> RateResult:

@@ -1,4 +1,4 @@
-"""Exhaustive ground-truth solver and trade-off curves.
+"""Exhaustive ground-truth solver, a cross-check for the tests.
 
 Every channel is tried against every link (and against "unassigned"), so
 the result is the global optimum by construction. The span cap is applied
@@ -7,27 +7,18 @@ instances tractable; anything bigger than the configured assignment budget
 is rejected up front.
 
 Enumeration order is fixed (channel-major, value order: unassigned, link 1,
-..., link N) and the tie-breaking matches the branch-and-bound solver, so
-both report the same max-min value on the same instance, computed with the
-same arithmetic.
+..., link N), and each complete assignment is ranked by the solver's own
+tie order (`solver._beats`), so both report the same max-min value on the
+same instance, computed with the same arithmetic. No product path calls
+this module.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
-import numpy as np
-
-from .model import (
-    AllocationMatrix,
-    ProblemInstance,
-    ValidationError,
-    evaluate_rates,
-    rng_streams,
-)
-from .solver import SolveResult, _owner_key
+from .model import ProblemInstance, sequential_sum
+from .solver import SolveResult, _beats, _result
 
 DEFAULT_ASSIGNMENT_BUDGET = 450_000_000
 
@@ -59,29 +50,16 @@ def brute_force(inst: ProblemInstance, *,
     leaves = 0
     best_owner = None
     best_value = best_total = 0.0
-    best_key = None
 
     def rec(idx):
-        nonlocal leaves, best_owner, best_value, best_total, best_key
+        nonlocal leaves, best_owner, best_value, best_total
         if idx == m_total:
             leaves += 1
-            value = min(rate)
-            if best_owner is not None and value < best_value:
-                return
-            total = 0.0
-            for v in rate:
-                total += v
-            if best_owner is not None and value == best_value:
-                if total < best_total:
-                    return
-                if total == best_total:
-                    if best_key is None:
-                        best_key = _owner_key(best_owner, n, m_total)
-                    if not _owner_key(owner, n, m_total) < best_key:
-                        return
-            best_owner = owner.copy()
-            best_value, best_total = value, total
-            best_key = None
+            value, total = min(rate), sequential_sum(rate)
+            if _beats(n, value, total, owner, best_value, best_total,
+                      best_owner):
+                best_owner = owner.copy()
+                best_value, best_total = value, total
             return
         # value order: unassigned first, then links in index order
         rec(idx + 1)
@@ -105,88 +83,4 @@ def brute_force(inst: ProblemInstance, *,
                 owner[idx] = -1
 
     rec(0)
-    allocation = AllocationMatrix.from_owner_vector(best_owner, n)
-    rates = evaluate_rates(inst, allocation)
-    return SolveResult(allocation=allocation,
-                       rates=rates,
-                       maxmin=rates.maxmin,
-                       proven_optimal=True,
-                       nodes_explored=leaves,
-                       wall_time=time.perf_counter() - t_start)
-
-
-# ---------------------------------------------------------------------------
-# Trade-off curves
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TradeoffCurve:
-    """Mean (and spread of) max-min rate as a function of the span bound."""
-
-    b_values: tuple[int, ...]
-    mean_maxmin: np.ndarray       # bits/s, one entry per b
-    std_maxmin: np.ndarray        # population std over realizations
-    values: np.ndarray            # (realizations, len(b_values)) raw optima
-    all_proven: bool = True
-
-    @property
-    def realizations(self) -> int:
-        return self.values.shape[0]
-
-
-def check_b_values(b_values: Sequence[int], num_channels: int,
-                   lower: int = 1) -> tuple[int, ...]:
-    b_values = tuple(int(b) for b in b_values)
-    if not b_values:
-        raise ValidationError("need at least one span bound")
-    if any(b2 <= b1 for b1, b2 in zip(b_values, b_values[1:])):
-        raise ValidationError("span bounds must be strictly increasing")
-    if b_values[0] < lower or b_values[-1] > num_channels:
-        raise ValidationError(
-            f"span bounds must lie in [{lower}, {num_channels}]")
-    return b_values
-
-
-def tradeoff_curve(sample_instance: Callable[[np.random.Generator], ProblemInstance],
-                   b_values: Sequence[int],
-                   realizations: int,
-                   rng, *,
-                   max_assignments: int = DEFAULT_ASSIGNMENT_BUDGET) -> TradeoffCurve:
-    """Average the exact optimum over capacity realizations for each span
-    bound. `sample_instance` is called once per realization with a derived
-    generator; each realization's curve is checked to be nondecreasing in b
-    before averaging.
-    """
-    if realizations < 1:
-        raise ValidationError("realizations must be >= 1")
-    streams = rng_streams(rng, realizations)
-    rows = []
-    checked_b = None
-    for gen in streams:
-        inst = sample_instance(gen)
-        if checked_b is None:
-            checked_b = check_b_values(b_values, inst.num_channels)
-        # One enumeration at the largest bound settles every b at or above
-        # the max row span of that optimum: the optimum is monotone in b
-        # and this allocation stays feasible down to its own span.
-        top = brute_force(inst.with_span_bound(checked_b[-1]),
-                          max_assignments=max_assignments)
-        span_star = max(top.allocation.spans())
-        row = []
-        for b in checked_b:
-            if b >= span_star:
-                row.append(top.maxmin)
-            else:
-                res = brute_force(inst.with_span_bound(b),
-                                  max_assignments=max_assignments)
-                row.append(res.maxmin)
-        for v1, v2 in zip(row, row[1:]):
-            if v2 < v1:
-                raise RuntimeError(
-                    "per-realization curve decreased; enumeration bug")
-        rows.append(row)
-    values = np.array(rows)
-    return TradeoffCurve(b_values=checked_b,
-                         mean_maxmin=values.mean(axis=0),
-                         std_maxmin=values.std(axis=0),
-                         values=values)
+    return _result(inst, best_owner, True, leaves, t_start)

@@ -21,7 +21,6 @@ import numpy as np
 from .model import (
     GainMatrix,
     InterfererSpec,
-    InterferenceMatrix,
     LinkSpec,
     ProblemInstance,
     RateResult,
@@ -35,7 +34,6 @@ from .model import (
     rng_streams,
     sample_rician_power_gain,
 )
-from .oracle import TradeoffCurve, check_b_values
 from .solver import DEFAULT_NODE_BUDGET, SolveResult, solve
 
 # Four links on a unit grid sharing 12 channels of 100 kHz, with three
@@ -152,16 +150,22 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     )
 
 
-def load_scenario(path) -> ScenarioConfig:
+def read_scenario(path) -> tuple[ScenarioConfig, bytes]:
+    """Parse a JSON config file. The bytes parsed are returned too, so a
+    caller can hash exactly what it read."""
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(data), raw
+
+
+def load_scenario(path) -> ScenarioConfig:
+    return read_scenario(path)[0]
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -257,12 +261,6 @@ def instance_from_gains(cfg: ScenarioConfig, gains: GainMatrix,
         span_bound=cfg.span_bound if span_bound is None else int(span_bound))
 
 
-def interference_matrix(cfg: ScenarioConfig,
-                        active_interferers=None) -> InterferenceMatrix:
-    row = interference_row(cfg, active_interferers)
-    return InterferenceMatrix(np.tile(row, (cfg.num_links, 1)))
-
-
 def realize_instance(cfg: ScenarioConfig, active_interferers=None,
                      rng=None) -> ProblemInstance:
     """One complete realization: draw fades, apply interference, build the
@@ -274,6 +272,34 @@ def realize_instance(cfg: ScenarioConfig, active_interferers=None,
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TradeoffCurve:
+    """Mean (and spread of) max-min rate as a function of the span bound."""
+
+    b_values: tuple[int, ...]
+    mean_maxmin: np.ndarray       # bits/s, one entry per b
+    std_maxmin: np.ndarray        # population std over realizations
+    values: np.ndarray            # (realizations, len(b_values)) raw optima
+    all_proven: bool
+
+    @property
+    def realizations(self) -> int:
+        return self.values.shape[0]
+
+
+def check_b_values(b_values: Sequence[int], num_channels: int,
+                   lower: int = 1) -> tuple[int, ...]:
+    b_values = tuple(int(b) for b in b_values)
+    if not b_values:
+        raise ValidationError("need at least one span bound")
+    if any(b2 <= b1 for b1, b2 in zip(b_values, b_values[1:])):
+        raise ValidationError("span bounds must be strictly increasing")
+    if b_values[0] < lower or b_values[-1] > num_channels:
+        raise ValidationError(
+            f"span bounds must lie in [{lower}, {num_channels}]")
+    return b_values
+
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -335,34 +361,28 @@ def reallocation_experiment(cfg: ScenarioConfig,
 
 def _sweep_one(task):
     """One realization of the trade-off curve: realize, then solve per span
-    bound. Solving the largest bound first often settles the rest: every b
-    at or above the max row span of that optimum must share its value
-    (feasible there, and the optimum is monotone in b)."""
+    bound. Solving the largest bound first often settles the rest: when
+    that optimum is proven, every b at or above its max row span (span*)
+    shares its value (feasible there, and the optimum is monotone in b).
+    The other bounds are solved in ascending order, each warm-started from
+    the previous allocation; after a budget-truncated top solve that is
+    every bound."""
     cfg, b_values, active, gen, node_budget = task
     gains = realize_gains(cfg, gen)
     inst = instance_from_gains(cfg, gains, active)
     top = solve(inst.with_span_bound(b_values[-1]), node_budget=node_budget)
     proven = top.proven_optimal
-    row = [0.0] * len(b_values)
-    if proven:
-        span_star = max(top.allocation.spans())
-        prev = None
-        for i, b in enumerate(b_values):
-            if b >= span_star:
-                row[i] = top.maxmin
-            else:
-                res = solve(inst.with_span_bound(b), node_budget=node_budget,
-                            warm_start=prev)
-                prev = res.allocation
-                proven = proven and res.proven_optimal
-                row[i] = res.maxmin
-    else:
-        prev = None
-        for i, b in enumerate(b_values):
-            res = solve(inst.with_span_bound(b), node_budget=node_budget,
-                        warm_start=prev)
-            prev = res.allocation
-            row[i] = res.maxmin
+    span_star = max(top.allocation.spans()) if proven else math.inf
+    row, prev = [], None
+    for b in b_values:
+        if b >= span_star:
+            row.append(top.maxmin)
+            continue
+        res = solve(inst.with_span_bound(b), node_budget=node_budget,
+                    warm_start=prev)
+        prev = res.allocation
+        proven = proven and res.proven_optimal
+        row.append(res.maxmin)
     for v1, v2 in zip(row, row[1:]):
         if v2 < v1:
             raise RuntimeError("per-realization curve decreased; solver bug")

@@ -1,5 +1,17 @@
 """Exact branch-and-bound solver for max-min rate channel allocation.
 
+The program solved is the mixed-integer linear program below, with binary
+a_lm (link l on channel m, channels 1-based) and capacities c_lm:
+
+    max t  subject to, for every link l and channel m:
+        t <= sum_m c_lm * a_lm
+        sum_l a_lm <= 1                        (orthogonality)
+        hi_l >= m * a_lm,  lo_l <= m * a_lm + M * (1 - a_lm)
+        hi_l - lo_l + 1 <= b                   (span cap)
+
+The hi/lo pair linearizes the span's max/min definition; an all-zero row
+is feasible with hi = 0 and lo = M.
+
 The search assigns channels in ascending index order; at each channel it
 tries giving the channel to one of the links or leaving it unassigned.
 Feasibility pruning enforces the per-link span cap incrementally. Bound
@@ -29,9 +41,8 @@ incumbent, so the optimal value is exact. When the value bound exactly
 equals the incumbent the subtree may still hold an equal-value allocation
 with a larger total rate, so it is pruned only if an optimistic total-rate
 bound also fails to beat the incumbent's total; this keeps the tie order
-(larger maxmin, then larger total rate, then lexicographically smallest
-allocation matrix) effective rather than decorative. Exact float equality
-is rare off the tie manifolds, so the extra exploration is cheap.
+of `_beats` effective rather than decorative. Exact float equality is rare
+off the tie manifolds, so the extra exploration is cheap.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from .model import (
     as_allocation,
     evaluate_rates,
     link_rate,
+    sequential_sum,
     spectral_span,
 )
 
@@ -74,118 +86,6 @@ class SolveResult:
     proven_optimal: bool
     nodes_explored: int
     wall_time: float
-
-
-@dataclass(frozen=True)
-class MilpPoint:
-    """A candidate point for the linearized program: allocation entries,
-    per-channel and per-link rates, the objective epigraph value, and the
-    per-link occupied-index bounds."""
-
-    allocation: AllocationMatrix
-    per_channel_rate: np.ndarray
-    per_link_rate: np.ndarray
-    objective: float
-    hi: tuple[int, ...]
-    lo: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MaxMinProblem:
-    """The max-min program in linear form.
-
-    max t  subject to, for every link l and channel m (1-based):
-        t <= r_l
-        r_lm <= c_lm * a_lm,   r_l = sum_m r_lm,   r_lm >= 0
-        hi_l >= m * a_lm
-        lo_l <= m * a_lm + M * (1 - a_lm)
-        hi_l - lo_l + 1 <= b
-        sum_l a_lm <= 1
-        a_lm in {0, 1}
-
-    The hi/lo pair turns the span's max/min definition into linear
-    constraints; an all-zero row is feasible with hi = 0 and lo = M.
-    """
-
-    instance: ProblemInstance
-
-    @property
-    def num_epigraph_constraints(self) -> int:
-        return self.instance.num_links
-
-    @property
-    def num_index_bound_constraints(self) -> int:
-        return 2 * self.instance.num_links * self.instance.num_channels
-
-    @property
-    def num_span_constraints(self) -> int:
-        return self.instance.num_links
-
-    @property
-    def num_orthogonality_constraints(self) -> int:
-        return self.instance.num_channels
-
-    def point_from_allocation(self, allocation) -> MilpPoint:
-        """Lift an allocation to a point with tight hi/lo and saturated rates."""
-        inst = self.instance
-        alloc = as_allocation(allocation)
-        rates = evaluate_rates(inst, alloc)
-        n, m_total = inst.num_links, inst.num_channels
-        hi, lo = [], []
-        for l in range(n):
-            occupied = np.flatnonzero(alloc.entries[l])
-            if occupied.size:
-                hi.append(int(occupied[-1]) + 1)
-                lo.append(int(occupied[0]) + 1)
-            else:
-                hi.append(0)
-                lo.append(m_total)
-        return MilpPoint(allocation=alloc,
-                         per_channel_rate=rates.per_channel,
-                         per_link_rate=rates.per_link,
-                         objective=rates.maxmin,
-                         hi=tuple(hi), lo=tuple(lo))
-
-    def violations(self, point: MilpPoint) -> list[str]:
-        """Names of constraints the point violates, empty when feasible."""
-        inst = self.instance
-        n, m_total, b = inst.num_links, inst.num_channels, inst.span_bound
-        a = point.allocation.entries
-        out = []
-        if a.shape != (n, m_total):
-            return ["dimension mismatch"]
-        if not point.allocation.is_orthogonal():
-            out.append("orthogonality")
-        if np.any(point.per_channel_rate < 0):
-            out.append("rate nonnegativity")
-        if np.any(point.per_channel_rate > inst.capacity * a):
-            out.append("rate capacity coupling")
-        for l in range(n):
-            total = 0.0
-            for m in range(m_total):
-                total += float(point.per_channel_rate[l, m])
-            if total != float(point.per_link_rate[l]):
-                out.append(f"rate accounting (link {l + 1})")
-            if point.objective > point.per_link_rate[l]:
-                out.append(f"epigraph (link {l + 1})")
-            hi_l, lo_l = point.hi[l], point.lo[l]
-            for m in range(1, m_total + 1):
-                a_lm = int(a[l, m - 1])
-                if hi_l < m * a_lm:
-                    out.append(f"hi bound (link {l + 1}, channel {m})")
-                if lo_l > m * a_lm + m_total * (1 - a_lm):
-                    out.append(f"lo bound (link {l + 1}, channel {m})")
-            if hi_l - lo_l + 1 > b:
-                out.append(f"span (link {l + 1})")
-        return out
-
-    def check_point(self, point: MilpPoint) -> bool:
-        return not self.violations(point)
-
-
-def build_milp(inst: ProblemInstance) -> MaxMinProblem:
-    """Emit the linearized constraint system for an instance."""
-    return MaxMinProblem(instance=inst)
 
 
 def verify_solution(inst: ProblemInstance, result: SolveResult) -> bool:
@@ -220,10 +120,22 @@ def verify_solution(inst: ProblemInstance, result: SolveResult) -> bool:
 # Incumbent bookkeeping
 # ---------------------------------------------------------------------------
 
-def _owner_key(owners, n, m_total):
+def _owner_key(owner, n):
     """Row-major flattening of the allocation matrix, for lexicographic ties."""
-    return tuple(1 if owners[m] == l else 0
-                 for l in range(n) for m in range(m_total))
+    return tuple(1 if o == l else 0 for l in range(n) for o in owner)
+
+
+def _beats(n, value, total, owner, inc_value, inc_total, inc_owner):
+    """The tie order every solver applies to a complete allocation: larger
+    maxmin, then larger total rate, then the lexicographically smallest
+    allocation matrix. Anything beats an absent incumbent (None)."""
+    if inc_owner is None:
+        return True
+    if value != inc_value:
+        return value > inc_value
+    if total != inc_total:
+        return total > inc_total
+    return _owner_key(owner, n) < _owner_key(inc_owner, n)
 
 
 def _metric(owners, cap, n, m_total):
@@ -233,17 +145,26 @@ def _metric(owners, cap, n, m_total):
         l = owners[m]
         if l >= 0:
             rates[l] += cap[l][m]
-    total = 0.0
-    for v in rates:
-        total += v
-    return min(rates), total
+    return min(rates), sequential_sum(rates)
+
+
+def _result(inst, owners, proven, nodes, t_start) -> SolveResult:
+    """The SolveResult of an owner vector, rates re-evaluated canonically."""
+    allocation = AllocationMatrix.from_owner_vector(owners, inst.num_links)
+    rates = evaluate_rates(inst, allocation)
+    return SolveResult(allocation=allocation,
+                       rates=rates,
+                       maxmin=rates.maxmin,
+                       proven_optimal=proven,
+                       nodes_explored=nodes,
+                       wall_time=time.perf_counter() - t_start)
 
 
 # ---------------------------------------------------------------------------
 # Warm-start heuristics
 # ---------------------------------------------------------------------------
 
-def _block_candidates(cap, n, m_total, b):
+def _block_candidates(n, m_total, b):
     """Contiguous equal blocks assigned to links, all matchings tried."""
     base, extra = divmod(m_total, n)
     sizes = [min(b, base + (1 if i < extra else 0)) for i in range(n)]
@@ -251,13 +172,6 @@ def _block_candidates(cap, n, m_total, b):
     for s in sizes:
         starts.append(pos)
         pos += s
-    block_sums = [[0.0] * n for _ in range(n)]
-    for i, (start, size) in enumerate(zip(starts, sizes)):
-        for l in range(n):
-            total = 0.0
-            for m in range(start, start + size):
-                total += cap[l][m]
-            block_sums[i][l] = total
     out = []
     perms = itertools.permutations(range(n)) if n <= 6 else [tuple(range(n))]
     for perm in perms:
@@ -366,7 +280,7 @@ def solve(inst: ProblemInstance, *,
                                    for k in range(m_total + 1)]
 
     # --- incumbent ------------------------------------------------------
-    candidates = _block_candidates(cap, n, m_total, b)
+    candidates = _block_candidates(n, m_total, b)
     candidates.append(_greedy_candidate(cap, n, m_total, b))
     candidates.append([-1] * m_total)
     if warm_start is not None:
@@ -381,23 +295,11 @@ def solve(inst: ProblemInstance, *,
 
     best_owner = None
     best_value = best_total = 0.0
-    best_key = None
     for owners in candidates:
         value, total = _metric(owners, cap, n, m_total)
-        if best_owner is None:
-            take = True
-        elif value != best_value:
-            take = value > best_value
-        elif total != best_total:
-            take = total > best_total
-        else:
-            if best_key is None:
-                best_key = _owner_key(best_owner, n, m_total)
-            take = _owner_key(owners, n, m_total) < best_key
-        if take:
+        if _beats(n, value, total, owners, best_value, best_total, best_owner):
             best_owner = list(owners)
             best_value, best_total = value, total
-            best_key = None
 
     # --- DFS ------------------------------------------------------------
     owner = [-1] * m_total
@@ -414,25 +316,13 @@ def solve(inst: ProblemInstance, *,
             win_topk=win_topk, best_window=best_window,
             subset_items=subset_items, ssuf=ssuf, mask_topk=mask_topk,
             b=b, n=n, m_total=m_total, use_subsets=use_subsets):
-        nonlocal nodes, best_owner, best_value, best_total, best_key
+        nonlocal nodes, best_owner, best_value, best_total
         if idx == m_total:
-            value = min(rate)
-            if value < best_value:
-                return
-            total = 0.0
-            for v in rate:
-                total += v
-            if value == best_value:
-                if total < best_total:
-                    return
-                if total == best_total:
-                    if best_key is None:
-                        best_key = _owner_key(best_owner, n, m_total)
-                    if not _owner_key(owner, n, m_total) < best_key:
-                        return
-            best_owner = owner.copy()
-            best_value, best_total = value, total
-            best_key = None
+            value, total = min(rate), sequential_sum(rate)
+            if _beats(n, value, total, owner, best_value, best_total,
+                      best_owner):
+                best_owner = owner.copy()
+                best_value, best_total = value, total
             return
         nodes += 1
         if nodes > node_budget:
@@ -586,11 +476,4 @@ def solve(inst: ProblemInstance, *,
     except _BudgetExceeded:
         proven = False
 
-    allocation = AllocationMatrix.from_owner_vector(best_owner, n)
-    rates = evaluate_rates(inst, allocation)
-    return SolveResult(allocation=allocation,
-                       rates=rates,
-                       maxmin=rates.maxmin,
-                       proven_optimal=proven,
-                       nodes_explored=nodes,
-                       wall_time=time.perf_counter() - t_start)
+    return _result(inst, best_owner, proven, nodes, t_start)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -73,6 +74,9 @@ def test_solve_malformed_config(tmp_path):
     code = _run("solve", "--config", str(bad), "--out-dir", str(out))
     assert code == 2
     assert not out.exists()
+    bad.write_bytes(b"\xff{}")                 # not UTF-8
+    assert _run("solve", "--config", str(bad), "--out-dir", str(out)) == 2
+    assert not out.exists()
 
 
 def test_solve_missing_config(tmp_path):
@@ -105,6 +109,17 @@ def test_solve_config_file_equals_builtin(tmp_path):
     assert code == 0
     assert ((out_builtin / "allocation.csv").read_bytes()
             == (out_file / "allocation.csv").read_bytes())
+
+
+def test_manifest_hashes_the_config_file(tmp_path):
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(scenario_to_dict(GRID4X12), indent=1))
+    out = tmp_path / "o"
+    assert _run("solve", "--config", str(cfg_path), "--b", "4",
+                "--interferers", "none", "--out-dir", str(out)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["config_sha256"]
+            == hashlib.sha256(cfg_path.read_bytes()).hexdigest())
 
 
 def test_strict_bounds_rejects_small_b(tmp_path):
@@ -257,3 +272,16 @@ def test_guardband_rejects_nonbinary_allocation(tmp_path):
     _write_matrix(rates, 2, [["L1", 1, 2]])
     assert _run("guardband", "--allocation", str(alloc), "--rates", str(rates),
                 "--out-dir", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_guardband_rejects_nonfinite_rates(tmp_path, capsys, cell):
+    alloc = tmp_path / "a.csv"
+    rates = tmp_path / "r.csv"
+    _write_matrix(alloc, 2, [["L1", 1, 0], ["L2", 0, 1]])
+    _write_matrix(rates, 2, [["L1", cell, 0], ["L2", 0, 1]])
+    out = tmp_path / "o"
+    assert _run("guardband", "--allocation", str(alloc), "--rates", str(rates),
+                "--out-dir", str(out)) == 2
+    assert f"{rates}: non-finite cell" in capsys.readouterr().err
+    assert not out.exists()

@@ -17,6 +17,7 @@ from ncofdm_alloc.model import (
     path_loss_gain,
     rng_streams,
     sample_rician_power_gain,
+    sequential_sum,
     spectral_span,
 )
 
@@ -238,6 +239,16 @@ def test_evaluate_rates_rejects_shared_channel():
 
 def test_link_rate_skips_unassigned():
     assert link_rate([1.0, 2.0, 4.0], [1, 0, 1]) == 5.0
+
+
+def test_sequential_sum_adds_left_to_right():
+    # a compensated or pairwise sum recovers the two 1.0s; the canonical
+    # left-to-right sum absorbs both into 1e100 and cancels to 0.0
+    values = [1.0, 1e100, 1.0, -1e100]
+    assert math.fsum(values) == 2.0
+    assert sequential_sum(values) == 0.0
+    assert sequential_sum(np.array(values)) == 0.0
+    assert sequential_sum([]) == 0.0
 
 
 # ---------------------------------------------------------------------------

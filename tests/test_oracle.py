@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from ncofdm_alloc.model import ProblemInstance, ValidationError
-from ncofdm_alloc.oracle import (
-    EnumerationBudgetError,
-    brute_force,
-    check_b_values,
-    tradeoff_curve,
-)
+from ncofdm_alloc.oracle import EnumerationBudgetError, brute_force
+from ncofdm_alloc.scenario import check_b_values
 from ncofdm_alloc.solver import solve, verify_solution
 
 
@@ -65,34 +61,6 @@ def test_maxmin_monotone_in_b():
     values = [brute_force(_instance(cap, b)).maxmin for b in range(1, 7)]
     assert all(v1 <= v2 for v1, v2 in zip(values, values[1:]))
     assert values[-1] == max(values)
-
-
-def test_tradeoff_curve_properties():
-    def sampler(gen):
-        return _instance(gen.uniform(0, 10e6, size=(2, 6)), 6)
-
-    curve = tradeoff_curve(sampler, b_values=[1, 2, 3, 6],
-                           realizations=8, rng=17)
-    assert curve.b_values == (1, 2, 3, 6)
-    assert curve.values.shape == (8, 4)
-    # per-realization curves nondecreasing, so the mean is too
-    for row in curve.values:
-        assert all(v1 <= v2 for v1, v2 in zip(row, row[1:]))
-    diffs = np.diff(curve.mean_maxmin)
-    assert (diffs >= 0).all()
-    # the b = M endpoint equals the unconstrained optimum per realization
-    gen_check = np.random.default_rng((17, 0))
-    inst0 = sampler(gen_check)
-    assert curve.values[0, -1] == brute_force(inst0).maxmin
-
-
-def test_tradeoff_curve_reproducible():
-    def sampler(gen):
-        return _instance(gen.uniform(0, 10e6, size=(2, 5)), 5)
-
-    a = tradeoff_curve(sampler, b_values=[1, 3, 5], realizations=4, rng=9)
-    b = tradeoff_curve(sampler, b_values=[1, 3, 5], realizations=4, rng=9)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_check_b_values():

@@ -12,7 +12,9 @@ from ncofdm_alloc.model import (
     compute_capacity,
     compute_sinr,
     path_loss_gain,
+    rng_streams,
 )
+from ncofdm_alloc.oracle import brute_force
 from ncofdm_alloc.scenario import (
     GRID4X12,
     builtin_scenario,
@@ -27,6 +29,7 @@ from ncofdm_alloc.scenario import (
     scenario_to_dict,
     sweep,
 )
+from ncofdm_alloc.solver import solve
 
 
 def _small_cfg(**overrides):
@@ -197,6 +200,45 @@ def test_sweep_curve_properties():
     again = sweep(cfg, [3, 4, 5], realizations=3, rng=6,
                   active_interferers={"A", "B", "C"})
     assert np.array_equal(curve.values, again.values)
+
+
+def _sweep_instances(cfg, rng, realizations):
+    """Each realization's instance, rebuilt the way `sweep` draws it."""
+    return [instance_from_gains(cfg, realize_gains(cfg, gen))
+            for gen in rng_streams(rng, realizations)]
+
+
+def test_sweep_matches_oracle():
+    cfg = _small_cfg()
+    b_values = range(1, 7)
+    curve = sweep(cfg, b_values, realizations=4, rng=23)
+    assert curve.all_proven
+    for row, inst in zip(curve.values, _sweep_instances(cfg, 23, 4)):
+        expected = [brute_force(inst.with_span_bound(b)).maxmin
+                    for b in b_values]
+        assert list(row) == expected
+
+
+def test_sweep_truncated_resolves_every_bound():
+    # a budget-truncated top solve proves nothing, so every bound is
+    # re-solved in ascending order, each warm-started from the last; with
+    # this seed and budget, reusing the top value from its span up would
+    # give a different row
+    cfg = _small_cfg()
+    b_values = range(1, 7)
+    budget = 12
+    curve = sweep(cfg, b_values, realizations=3, rng=3, node_budget=budget)
+    assert not curve.all_proven
+    for row, inst in zip(curve.values, _sweep_instances(cfg, 3, 3)):
+        top = solve(inst.with_span_bound(6), node_budget=budget)
+        assert not top.proven_optimal
+        expected, prev = [], None
+        for b in b_values:
+            res = solve(inst.with_span_bound(b), node_budget=budget,
+                        warm_start=prev)
+            prev = res.allocation
+            expected.append(res.maxmin)
+        assert list(row) == expected
 
 
 def test_sweep_workers_match_serial():

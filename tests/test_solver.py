@@ -9,7 +9,7 @@ from ncofdm_alloc.model import (
     evaluate_rates,
 )
 from ncofdm_alloc.oracle import brute_force
-from ncofdm_alloc.solver import SolveResult, build_milp, solve, verify_solution
+from ncofdm_alloc.solver import SolveResult, solve, verify_solution
 
 
 def _instance(cap, b=None):
@@ -140,56 +140,6 @@ def test_warm_start_never_worsens():
         cold = solve(_instance(cap, 3))
         warm = solve(_instance(cap, 4), warm_start=cold.allocation)
         assert warm.maxmin >= cold.maxmin
-
-
-# ---------------------------------------------------------------------------
-# linearized formulation
-# ---------------------------------------------------------------------------
-
-def test_milp_constraint_counts():
-    prob = build_milp(_instance([[1e6, 2e6]], b=1))
-    assert prob.num_epigraph_constraints == 1
-    assert prob.num_index_bound_constraints == 2 * 2
-    assert prob.num_span_constraints == 1
-    assert prob.num_orthogonality_constraints == 2
-
-
-def test_milp_empty_row_is_feasible():
-    inst = _instance([[1e6, 2e6], [3e6, 4e6]], b=1)
-    prob = build_milp(inst)
-    point = prob.point_from_allocation([[0, 0], [0, 1]])
-    assert point.hi[0] == 0 and point.lo[0] == 2
-    assert prob.check_point(point)
-
-
-def test_milp_round_trip_on_solver_output():
-    rng = np.random.default_rng(909)
-    for _ in range(25):
-        inst = _random_instance(rng)
-        prob = build_milp(inst)
-        res = solve(inst)
-        assert prob.check_point(prob.point_from_allocation(res.allocation))
-
-
-def test_milp_rejects_span_violation():
-    inst = _instance([[1e6, 2e6, 3e6]], b=2)
-    prob = build_milp(inst)
-    point = prob.point_from_allocation([[1, 0, 1]])     # span 3 > b = 2
-    assert "span (link 1)" in prob.violations(point)
-    assert not prob.check_point(point)
-
-
-def test_milp_rejects_orthogonality_violation():
-    inst = _instance([[1e6, 2e6], [3e6, 4e6]])
-    prob = build_milp(inst)
-    # evaluate_rates refuses shared channels, so build the point by hand
-    from ncofdm_alloc.solver import MilpPoint
-    alloc = AllocationMatrix(np.array([[1, 0], [1, 0]]))
-    rates = inst.capacity * alloc.entries
-    point = MilpPoint(allocation=alloc, per_channel_rate=rates,
-                      per_link_rate=rates.sum(axis=1), objective=0.0,
-                      hi=(1, 1), lo=(1, 1))
-    assert "orthogonality" in prob.violations(point)
 
 
 # ---------------------------------------------------------------------------
