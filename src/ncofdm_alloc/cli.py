@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import replace
@@ -84,12 +85,13 @@ def _load_config(args):
     return cfg, hashlib.sha256(config_bytes).hexdigest()
 
 
-def _write_manifest(out_dir: Path, args, config_sha: str, seed, outputs):
+def _write_manifest(out_dir: Path, args, hashes: dict, seed, outputs):
+    """run_manifest.json; `hashes` names the digests of the inputs read."""
     manifest = {
         "tool": "ncofdm-alloc",
         "version": __version__,
         "command": list(args.argv),
-        "config_sha256": config_sha,
+        **hashes,
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted(outputs),
@@ -145,7 +147,7 @@ def cmd_solve(args) -> int:
     _write_rates_csv(out / "rates.csv", link_ids, result.rates.per_link)
     _write_channel_rates_csv(out / "channel_rates.csv", link_ids,
                              result.rates.per_channel)
-    _write_manifest(out, args, config_sha, cfg.rng_seed,
+    _write_manifest(out, args, {"config_sha256": config_sha}, cfg.rng_seed,
                     ["allocation.csv", "rates.csv", "channel_rates.csv"])
     print(f"maxmin_mbps={_format_mbps(result.maxmin)} "
           f"proven_optimal={result.proven_optimal} "
@@ -178,7 +180,8 @@ def cmd_sweep(args) -> int:
             writer.writerow([b,
                              _format_mbps(float(curve.mean_maxmin[i])),
                              _format_mbps(float(curve.std_maxmin[i]))])
-    _write_manifest(out, args, config_sha, cfg.rng_seed, ["tradeoff.csv"])
+    _write_manifest(out, args, {"config_sha256": config_sha}, cfg.rng_seed,
+                    ["tradeoff.csv"])
     print(f"sweep b={list(curve.b_values)} realizations={curve.realizations} "
           f"all_proven={curve.all_proven}")
     return EXIT_OK if curve.all_proven else EXIT_BUDGET_EXHAUSTED
@@ -206,7 +209,8 @@ def cmd_realloc(args) -> int:
         for condition, per_link in conditions:
             for link_id, rate in zip(link_ids, per_link):
                 writer.writerow([condition, link_id, _format_mbps(float(rate))])
-    _write_manifest(out, args, config_sha, cfg.rng_seed, ["realloc.csv"])
+    _write_manifest(out, args, {"config_sha256": config_sha}, cfg.rng_seed,
+                    ["realloc.csv"])
     print(f"baseline_min_mbps={_format_mbps(result.baseline_min)} "
           f"frozen_min_mbps={_format_mbps(result.frozen_min)} "
           f"reallocated_min_mbps={_format_mbps(result.reallocated_min)}")
@@ -216,12 +220,16 @@ def cmd_realloc(args) -> int:
 
 
 def _read_matrix_csv(path: Path):
-    """(link ids, value rows) from a link-by-channel CSV."""
+    """(link ids, value rows, SHA-256 of the bytes parsed) from a
+    link-by-channel CSV. The file is read once."""
     try:
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
+        data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8") from exc
     if not rows or len(rows) < 2:
         raise ValidationError(f"{path}: no data rows")
     header = rows[0]
@@ -240,14 +248,14 @@ def _read_matrix_csv(path: Path):
     values = np.array(values)
     if not np.isfinite(values).all():
         raise ValidationError(f"{path}: non-finite cell")
-    return ids, values
+    return ids, values, hashlib.sha256(data).hexdigest()
 
 
 def cmd_guardband(args) -> int:
     alloc_path = Path(args.allocation)
     rates_path = Path(args.rates)
-    ids_a, alloc_values = _read_matrix_csv(alloc_path)
-    ids_r, rate_values = _read_matrix_csv(rates_path)
+    ids_a, alloc_values, alloc_sha = _read_matrix_csv(alloc_path)
+    ids_r, rate_values, rates_sha = _read_matrix_csv(rates_path)
     if ids_a != ids_r or alloc_values.shape != rate_values.shape:
         raise ValidationError("allocation and rates files do not line up")
     if not np.isin(alloc_values, (0.0, 1.0)).all():
@@ -276,9 +284,9 @@ def cmd_guardband(args) -> int:
         writer.writerow(["link", "rate_delta_mbps"])
         for link_id, delta in zip(ids_a, report.rate_deltas):
             writer.writerow([link_id, _format_mbps(float(delta))])
-    sha = hashlib.sha256(alloc_path.read_bytes()
-                         + rates_path.read_bytes()).hexdigest()
-    _write_manifest(out, args, sha, None,
+    _write_manifest(out, args,
+                    {"input_sha256": {"allocation": alloc_sha,
+                                      "rates": rates_sha}}, None,
                     ["guarded_allocation.csv", "guardband_report.csv",
                      "guardband_deltas.csv"])
     print(f"nulled={len(report.nulled)} mode={args.guardband_mode}")

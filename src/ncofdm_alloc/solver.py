@@ -12,10 +12,19 @@ a_lm (link l on channel m, channels 1-based) and capacities c_lm:
 The hi/lo pair linearizes the span's max/min definition; an all-zero row
 is feasible with hi = 0 and lo = M.
 
-The search assigns channels in ascending index order; at each channel it
-tries giving the channel to one of the links or leaving it unassigned.
-Feasibility pruning enforces the per-link span cap incrementally. Bound
-pruning uses three admissible (never underestimating) devices:
+The search visits channels one at a time; at each channel it tries giving
+the channel to one of the links or leaving it unassigned. The visit order
+is the index order, except when b >= M: then no span window can bind, the
+problem is max-min partitioning of the channels among the links, and the
+channels are visited in descending order of their capacity summed over
+links (stable on ties). Largest-first is the classic remedy for number
+partitioning (Korf, AIJ 1998 and IJCAI 2009); near-equal interfered
+channels in index order make the search thrash. The order changes only
+which node is visited when, never which allocation wins: every leaf is
+mapped back to index order and ranked by `_beats` on the original
+capacities, with the canonical arithmetic. Feasibility pruning enforces
+the per-link span cap incrementally. Bound pruning uses three admissible
+(never underestimating) devices:
 
 * per-link optimistic bounds: current rate plus the best the link could
   still collect from span-compatible remaining channels, also capped by
@@ -30,24 +39,33 @@ pruning uses three admissible (never underestimating) devices:
   can actually reach).
 
 One dominance rule is applied on top: the "leave unassigned" branch is
-skipped whenever some link could absorb the channel without constraining
-its own future window (an anchored link whose window still covers the
-channel, or an unanchored link whose fresh window would cover the whole
-tail). Any completion that wastes such a channel is weakly beaten by
-handing the channel to that link, so the optimal value is unaffected.
+skipped whenever some link with positive capacity on the channel could
+absorb it without constraining its own future window (an anchored link
+whose window still covers the channel, or an unanchored link whose fresh
+window would cover the whole tail). Any completion that wastes such a
+channel is beaten by handing the channel to that link: the link's rate
+grows, so the total does (unless the capacity is so small that it rounds
+away). A zero-capacity channel is left to the tie order, which prefers it
+unassigned.
 
 A subtree is pruned when its value bound falls strictly below the
 incumbent, so the optimal value is exact. When the value bound exactly
 equals the incumbent the subtree may still hold an equal-value allocation
 with a larger total rate, so it is pruned only if an optimistic total-rate
-bound also fails to beat the incumbent's total; this keeps the tie order
-of `_beats` effective rather than decorative. Exact float equality is rare
-off the tie manifolds, so the extra exploration is cheap.
+bound also falls short of the incumbent's total by more than rounding
+could account for; this keeps the tie order of `_beats` (total rate, then
+the allocation matrix) effective rather than decorative. Exact float
+equality is rare off the tie manifolds, so the extra exploration is cheap.
+
+The search recurses once per channel, so instances with more channels
+than the interpreter's recursion limit allows, less `_STACK_MARGIN`
+frames, are rejected before any table is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 from dataclasses import dataclass
 
@@ -70,6 +88,9 @@ DEFAULT_NODE_BUDGET = 100_000_000
 # Subset-average bounds are enumerated only for small link counts; beyond
 # this the per-link bounds and the counting cut still guarantee exactness.
 _MAX_SUBSET_LINKS = 6
+
+# Stack frames left to the caller when the search recurses once per channel.
+_STACK_MARGIN = 200
 
 
 class _BudgetExceeded(Exception):
@@ -223,7 +244,26 @@ def solve(inst: ProblemInstance, *,
     n, m_total, b = inst.num_links, inst.num_channels, inst.span_bound
     if node_budget < 0:
         raise ValidationError("node_budget must be >= 0")
+    max_channels = sys.getrecursionlimit() - _STACK_MARGIN
+    if m_total > max_channels:
+        raise ValidationError(
+            f"num_channels={m_total} exceeds the search depth limit of "
+            f"{max_channels} (recursion limit {sys.getrecursionlimit()} "
+            f"minus {_STACK_MARGIN} frames for the caller)")
     cap = [[float(x) for x in row] for row in inst.capacity]
+
+    # --- visit order ----------------------------------------------------
+    # visit[p] is the channel searched at depth p; vcap is cap with its
+    # columns in visit order, and every table below is built over vcap
+    if b >= m_total:
+        col_sums = [sequential_sum(cap[l][m] for l in range(n))
+                    for m in range(m_total)]
+        visit = sorted(range(m_total), key=col_sums.__getitem__,
+                       reverse=True)
+    else:
+        visit = list(range(m_total))
+    vcap = [[row[m] for m in visit] for row in cap]
+    last = m_total - 1
 
     # --- static tables ------------------------------------------------
     def _topk_cums(values):
@@ -232,32 +272,36 @@ def solve(inst: ProblemInstance, *,
             cums.append(cums[-1] + v)
         return cums
 
-    # suf[l][k]: plain float suffix sum of cap[l][k:]
+    # suf[l][k]: plain float suffix sum of vcap[l][k:]
     suf = []
     for l in range(n):
         row = [0.0] * (m_total + 1)
-        for k in range(m_total - 1, -1, -1):
-            row[k] = row[k + 1] + cap[l][k]
+        for k in range(last, -1, -1):
+            row[k] = row[k + 1] + vcap[l][k]
         suf.append(row)
     # best_window[l][k]: best sum of a width-b window starting at or after k
     best_window = []
     for l in range(n):
         row = [0.0] * (m_total + 1)
         best = 0.0
-        for k in range(m_total - 1, -1, -1):
+        for k in range(last, -1, -1):
             win = suf[l][k] - suf[l][min(k + b, m_total)]
             if win > best:
                 best = win
             row[k] = best
         best_window.append(row)
-    # win_topk[l][i][e][j]: sum of the j largest capacities of cap[l][i..e]
+    # win_topk[l][i][e][j]: sum of the j largest capacities of vcap[l][i..e],
+    # built only where the search reads it: e - i < b (an anchored window)
+    # and e = M - 1 (the tail of an unanchored link)
     win_topk = []
     for l in range(n):
+        row = vcap[l]
         per_i = []
         for i in range(m_total):
             per_e = [None] * m_total
-            for e in range(i, m_total):
-                per_e[e] = _topk_cums(cap[l][i:e + 1])
+            for e in range(i, min(i + b, last)):
+                per_e[e] = _topk_cums(row[i:e + 1])
+            per_e[last] = _topk_cums(row[i:])
             per_i.append(per_e)
         win_topk.append(per_i)
     # ssuf[mask][k]: suffix sums of the per-channel max over links in mask;
@@ -270,9 +314,10 @@ def solve(inst: ProblemInstance, *,
         ssuf = [[0.0] * (m_total + 1) for _ in range(1 << n)]
         for mask in range(1, 1 << n):
             members = [l for l in range(n) if mask & (1 << l)]
-            maxrow = [max(cap[l][k] for l in members) for k in range(m_total)]
+            maxrow = [max(vcap[l][k] for l in members)
+                      for k in range(m_total)]
             row = ssuf[mask]
-            for k in range(m_total - 1, -1, -1):
+            for k in range(last, -1, -1):
                 row[k] = row[k + 1] + maxrow[k]
             if len(members) >= 2:
                 subset_items.append((mask, tuple(members)))
@@ -302,6 +347,10 @@ def solve(inst: ProblemInstance, *,
             best_value, best_total = value, total
 
     # --- DFS ------------------------------------------------------------
+    # owner[p] is the owner of channel visit[p]; position inverts visit
+    position = [0] * m_total
+    for p, m in enumerate(visit):
+        position[m] = p
     owner = [-1] * m_total
     rate = [0.0] * n
     lo = [m_total] * n
@@ -311,17 +360,19 @@ def solve(inst: ProblemInstance, *,
     k_cache = [0] * n
     slots_cache = [0] * n
 
-    def dfs(idx, rate=rate, lo=lo, cnt=cnt, owner=owner, cap=cap,
+    def dfs(idx, rate=rate, lo=lo, cnt=cnt, owner=owner, cap=vcap,
+            cap_index=cap, position=position,
             e_cache=e_cache, k_cache=k_cache, slots_cache=slots_cache,
             win_topk=win_topk, best_window=best_window,
             subset_items=subset_items, ssuf=ssuf, mask_topk=mask_topk,
-            b=b, n=n, m_total=m_total, use_subsets=use_subsets):
+            b=b, n=n, m_total=m_total, last=last, use_subsets=use_subsets):
         nonlocal nodes, best_owner, best_value, best_total
         if idx == m_total:
-            value, total = min(rate), sequential_sum(rate)
-            if _beats(n, value, total, owner, best_value, best_total,
+            owners = [owner[p] for p in position]
+            value, total = _metric(owners, cap_index, n, m_total)
+            if _beats(n, value, total, owners, best_value, best_total,
                       best_owner):
-                best_owner = owner.copy()
+                best_owner = owners
                 best_value, best_total = value, total
             return
         nodes += 1
@@ -329,7 +380,6 @@ def solve(inst: ProblemInstance, *,
             raise _BudgetExceeded
         inc = best_value
         remaining = m_total - idx
-        last = m_total - 1
         # bound sums reorder the additions that produced the incumbent, so
         # equality tests get a relative slack of a few hundred ulps
         slack = inc * 1e-12
@@ -337,7 +387,7 @@ def solve(inst: ProblemInstance, *,
 
         # per-link bounds plus the counting cut; a subtree whose value
         # bound only ties the incumbent survives just when its optimistic
-        # total rate could still beat the incumbent's total
+        # total rate could still reach the incumbent's total
         total_bound = 0.0
         tie_possible = False
         needed = 0
@@ -354,16 +404,17 @@ def solve(inst: ProblemInstance, *,
                     slots = 0
                     topk = (0.0,)
                 else:
-                    none_dominated = True
                     slots = b - cnt[l]
                     width = e - idx + 1
                     if width < slots:
                         slots = width
                     topk = win_topk[l][idx][e]
+                    if cap[l][idx] > 0.0:
+                        none_dominated = True
                 gain = topk[slots]
             else:
                 e_cache[l] = last
-                if idx + b >= m_total:
+                if idx + b >= m_total and cap[l][idx] > 0.0:
                     none_dominated = True
                 slots = b if b < remaining else remaining
                 topk = win_topk[l][idx][last]
@@ -395,7 +446,8 @@ def solve(inst: ProblemInstance, *,
                 k_cache[l] = 0
         if needed > remaining:
             return
-        if tie_possible and total_bound <= best_total:
+        total_short = total_bound < best_total - best_total * 1e-12
+        if tie_possible and total_short:
             return
 
         # subset averages and subset counting, over needy links only (a
@@ -439,7 +491,7 @@ def solve(inst: ProblemInstance, *,
                 ub_s = (rate_sum + cap_sum) / len(members)
                 if ub_s < dead:
                     return
-                if ub_s <= inc and total_bound <= best_total:
+                if ub_s <= inc and total_short:
                     return
 
         # branch: poorest link first (stable sort keeps index order on

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,23 @@ def test_manifest_hashes_the_config_file(tmp_path):
             == hashlib.sha256(cfg_path.read_bytes()).hexdigest())
 
 
+def test_solve_rejects_channels_beyond_search_depth(tmp_path, capsys):
+    data = scenario_to_dict(GRID4X12)
+    data["links"] = data["links"][:1]
+    # the search recurses once a channel: more channels than the recursion
+    # limit can never be searched
+    data["num_channels"] = sys.getrecursionlimit()
+    cfg_path = tmp_path / "wide.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning):             # b < ceil(M/N)
+        code = _run("solve", "--config", str(cfg_path), "--b", "1",
+                    "--interferers", "none", "--out-dir", str(out))
+    assert code == 2
+    assert "search depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_strict_bounds_rejects_small_b(tmp_path):
     with pytest.warns(UserWarning):
         code = _run("solve", "--scenario", "grid4x12", "--b", "2",
@@ -230,6 +248,19 @@ def test_guardband_round_trip_from_solve(tmp_path):
     assert all(float(row[1]) <= 0 for row in deltas[1:])
 
 
+def test_guardband_manifest_hashes_each_input(tmp_path):
+    _, solved = _solve_dir(tmp_path, "solved", "--b", "4")
+    alloc, rates = solved / "allocation.csv", solved / "channel_rates.csv"
+    out = tmp_path / "gb"
+    assert _run("guardband", "--allocation", str(alloc),
+                "--rates", str(rates), "--out-dir", str(out)) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["input_sha256"] == {
+        "allocation": hashlib.sha256(alloc.read_bytes()).hexdigest(),
+        "rates": hashlib.sha256(rates.read_bytes()).hexdigest(),
+    }
+
+
 def test_guardband_single_link_unchanged(tmp_path):
     alloc = tmp_path / "a.csv"
     rates = tmp_path / "r.csv"
@@ -284,4 +315,16 @@ def test_guardband_rejects_nonfinite_rates(tmp_path, capsys, cell):
     assert _run("guardband", "--allocation", str(alloc), "--rates", str(rates),
                 "--out-dir", str(out)) == 2
     assert f"{rates}: non-finite cell" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_guardband_rejects_non_utf8_csv(tmp_path, capsys):
+    alloc = tmp_path / "a.csv"
+    rates = tmp_path / "r.csv"
+    _write_matrix(alloc, 2, [["L1", 1, 0], ["L2", 0, 1]])
+    rates.write_bytes(b"link,ch1,ch2\nL1,\xff,0\nL2,0,1\n")
+    out = tmp_path / "o"
+    assert _run("guardband", "--allocation", str(alloc), "--rates", str(rates),
+                "--out-dir", str(out)) == 2
+    assert f"{rates}: not valid UTF-8" in capsys.readouterr().err
     assert not out.exists()

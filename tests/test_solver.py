@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,16 @@ from ncofdm_alloc.model import (
     RateResult,
     ValidationError,
     evaluate_rates,
+    rng_streams,
 )
 from ncofdm_alloc.oracle import brute_force
-from ncofdm_alloc.solver import SolveResult, solve, verify_solution
+from ncofdm_alloc.scenario import GRID4X12, instance_from_gains, realize_gains
+from ncofdm_alloc.solver import (
+    _STACK_MARGIN,
+    SolveResult,
+    solve,
+    verify_solution,
+)
 
 
 def _instance(cap, b=None):
@@ -140,6 +149,77 @@ def test_warm_start_never_worsens():
         cold = solve(_instance(cap, 3))
         warm = solve(_instance(cap, 4), warm_start=cold.allocation)
         assert warm.maxmin >= cold.maxmin
+
+
+def test_exact_ties_match_oracle():
+    # capacities from {0, 1, 2, 3} Mbit/s tie often, zero-capacity channels
+    # included; every other case has b = M, where the search visits channels
+    # largest-first and must still land on the oracle's allocation matrix
+    rng = np.random.default_rng(2024)
+    for case in range(200):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 9 if n < 3 else 8))
+        b = m if case % 2 == 0 else int(rng.integers(1, m + 1))
+        inst = _instance(rng.integers(0, 4, size=(n, m)) * 1e6, b)
+        res, oracle = solve(inst), brute_force(inst)
+        assert res.proven_optimal
+        assert res.maxmin.hex() == oracle.maxmin.hex()
+        assert np.array_equal(res.allocation.entries,
+                              oracle.allocation.entries)
+
+
+def test_total_tie_in_the_last_bit_matches_oracle():
+    # the oracle's allocation totals one ulp more than another allocation
+    # with the same maxmin; the total-rate bounds add in another order than
+    # the leaf totals, so a subtree whose bound lies within rounding of the
+    # incumbent's total must still be searched
+    cap = np.array([[2, 2, 0, 1, 3, 0, 2, 0],
+                    [3, 1, 2, 1, 3, 0, 0, 3],
+                    [1, 1, 3, 2, 3, 3, 3, 0]]) * 0.1
+    inst = _instance(cap, b=8)
+    res, oracle = solve(inst), brute_force(inst)
+    assert res.allocation.owner_vector() == [1, 0, 2, 0, 0, 2, 2, 1]
+    assert res.maxmin.hex() == oracle.maxmin.hex()
+    assert np.array_equal(res.allocation.entries, oracle.allocation.entries)
+
+
+# b = 12 owner vectors of three grid4x12 draws with interferers A, B, C
+# (the one realization of a sweep seeded with the generator (1000, entry),
+# as in the benchmark's sweep pool), recorded with the index-order search;
+# the largest-first search must reproduce them
+_B12_PINS = {
+    0: ([0, 0, 0, 1, 2, 2, 2, 3, 3, 2, 3, 1], "0x1.11c8762526ec0p+22"),
+    5: ([3, 2, 0, 1, 3, 2, 0, 1, 2, 2, 0, 3], "0x1.138ca568d547cp+22"),
+    12: ([3, 2, 0, 1, 2, 0, 0, 1, 2, 3, 2, 3], "0x1.123cdb141e1cep+22"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_B12_PINS))
+def test_grid_b12_allocation_pinned(entry):
+    gen, = rng_streams(np.random.default_rng((1000, entry)), 1)
+    gains = realize_gains(GRID4X12, gen)
+    inst = instance_from_gains(GRID4X12, gains, {"A", "B", "C"},
+                               span_bound=12)
+    res = solve(inst)
+    owners, maxmin = _B12_PINS[entry]
+    assert res.proven_optimal
+    assert res.allocation.owner_vector() == owners
+    assert res.maxmin.hex() == maxmin
+    # index order needs ~6e5 nodes here, largest-first 5e3 to 1.4e4
+    assert res.nodes_explored <= 50_000
+
+
+def test_search_depth_margin_suffices():
+    # the deepest admitted search runs under a lowered recursion limit
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_STACK_MARGIN + 200)
+    try:
+        res = solve(_instance(np.ones((1, 200)), b=2))
+        with pytest.raises(ValidationError, match="search depth"):
+            solve(_instance(np.ones((1, 201)), b=2))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert res.proven_optimal and res.maxmin == 2.0
 
 
 # ---------------------------------------------------------------------------
