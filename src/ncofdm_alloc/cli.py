@@ -85,8 +85,10 @@ def _load_config(args):
     return cfg, hashlib.sha256(config_bytes).hexdigest()
 
 
-def _write_manifest(out_dir: Path, args, hashes: dict, seed, outputs):
-    """run_manifest.json; `hashes` names the digests of the inputs read."""
+def _write_manifest(out_dir: Path, args, hashes: dict, seed, outputs,
+                    **facts):
+    """run_manifest.json; `hashes` names the digests of the inputs read,
+    `facts` any run outcome kept out of the result CSVs."""
     manifest = {
         "tool": "ncofdm-alloc",
         "version": __version__,
@@ -95,6 +97,7 @@ def _write_manifest(out_dir: Path, args, hashes: dict, seed, outputs):
         "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted(outputs),
+        **facts,
     }
     path = out_dir / "run_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -210,7 +213,8 @@ def cmd_realloc(args) -> int:
             for link_id, rate in zip(link_ids, per_link):
                 writer.writerow([condition, link_id, _format_mbps(float(rate))])
     _write_manifest(out, args, {"config_sha256": config_sha}, cfg.rng_seed,
-                    ["realloc.csv"])
+                    ["realloc.csv"],
+                    frozen_still_optimal=result.frozen_still_optimal)
     print(f"baseline_min_mbps={_format_mbps(result.baseline_min)} "
           f"frozen_min_mbps={_format_mbps(result.frozen_min)} "
           f"reallocated_min_mbps={_format_mbps(result.reallocated_min)}")

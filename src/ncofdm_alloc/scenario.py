@@ -327,6 +327,12 @@ class ExperimentResult:
     def reallocated_min(self) -> float:
         return self.reallocated.maxmin
 
+    @property
+    def frozen_still_optimal(self) -> bool:
+        """Whether re-solving after the change gains nothing over keeping
+        the baseline allocation."""
+        return self.frozen_min == self.reallocated_min
+
 
 def reallocation_experiment(cfg: ScenarioConfig,
                             baseline_interferers,
@@ -401,11 +407,14 @@ def sweep(cfg: ScenarioConfig,
     one exact optimum per span bound, then mean and spread per bound.
 
     Realizations are independent; `workers > 1` runs them in a process
-    pool. Each realization's generator is derived up front from the seed,
-    so results do not depend on scheduling.
+    pool, and `workers < 1` is a ValidationError. Each realization's
+    generator is derived up front from the seed, so results do not depend
+    on scheduling.
     """
     if realizations < 1:
         raise ValidationError("realizations must be >= 1")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     lower = cfg.min_span_bound if strict_bounds else 1
     b_checked = check_b_values(b_values, cfg.num_channels, lower=lower)
     active = resolve_interferers(cfg, active_interferers)

@@ -13,22 +13,41 @@ The hi/lo pair linearizes the span's max/min definition; an all-zero row
 is feasible with hi = 0 and lo = M.
 
 The search visits channels one at a time; at each channel it tries giving
-the channel to one of the links or leaving it unassigned. The visit order
-is the index order, except when b >= M: then no span window can bind, the
-problem is max-min partitioning of the channels among the links, and the
-channels are visited in descending order of their capacity summed over
-links (stable on ties). Largest-first is the classic remedy for number
-partitioning (Korf, AIJ 1998 and IJCAI 2009); near-equal interfered
-channels in index order make the search thrash. The order changes only
-which node is visited when, never which allocation wins: every leaf is
-mapped back to index order and ranked by `_beats` on the original
-capacities, with the canonical arithmetic. Feasibility pruning enforces
-the per-link span cap incrementally. Bound pruning uses three admissible
-(never underestimating) devices:
+the channel to one of the links or leaving it unassigned. Each link keeps
+the range [lo, hi] of the (0-based) channel numbers it holds, so the
+search runs under any visit order: channel m fits link l iff
+max(hi, m) - min(lo, m) + 1 <= b, and the link's final channels lie in a
+width-b window starting in [max(0, hi - b + 1), min(lo, M - b)].
+
+Two visit orders are used. Index order is fast on some inputs; largest-
+first, descending capacity summed over links (stable on ties), is the
+classic remedy for number partitioning (Korf, AIJ 1998 and IJCAI 2009),
+which the problem becomes when many near-equal interfered channels must
+be shared. Neither wins everywhere below b = M, so the two race in node
+slices (an algorithm portfolio, Gomes & Selman, AIJ 2001). Index order
+first searches `_SLICE_NODES` nodes alone; a solve it settles there costs
+exactly what it did before the race existed, and builds no largest-first
+table. Otherwise index order and a largest-first search take turns of
+`_SLICE_NODES` nodes, each resumed where its last turn ended and sharing
+the best allocation found so far, until one completes; it proves the
+result. Largest-first runs on a thread of its own, but strictly one
+search runs at a time, so the turns and node counts are deterministic;
+its tables and that thread live in `_race`, loaded on first use.
+`node_budget` caps the nodes of all turns together. Where one order is
+much faster, the race costs up to about twice its nodes, plus one turn.
+At b >= M no window binds and largest-first runs alone.
+
+The result is still exact and bit-identical whichever order finishes: a
+completed search has visited, or soundly pruned, every allocation that
+could beat the shared incumbent, and every leaf is mapped back to index
+order and ranked by `_beats` on the original capacities, with the
+canonical arithmetic. Feasibility pruning enforces the per-link span cap
+incrementally. Bound pruning uses three admissible (never
+underestimating) devices:
 
 * per-link optimistic bounds: current rate plus the best the link could
-  still collect from span-compatible remaining channels, also capped by
-  the number of channels that still fit in its span window;
+  still collect from the unvisited channels of its feasible windows, also
+  capped by the number of channels that still fit in its span window;
 * subset averages: for any set S of links, the final minimum rate is at
   most the average over S of (current rate + remaining capacity reachable
   by S), where each remaining channel is counted once at the best rate of
@@ -39,14 +58,16 @@ the per-link span cap incrementally. Bound pruning uses three admissible
   can actually reach).
 
 One dominance rule is applied on top: the "leave unassigned" branch is
-skipped whenever some link with positive capacity on the channel could
-absorb it without constraining its own future window (an anchored link
-whose window still covers the channel, or an unanchored link whose fresh
-window would cover the whole tail). Any completion that wastes such a
-channel is beaten by handing the channel to that link: the link's rate
-grows, so the total does (unless the capacity is so small that it rounds
-away). A zero-capacity channel is left to the tie order, which prefers it
-unassigned.
+skipped whenever some link with positive capacity on the channel can
+take it without losing a window start that could still hold a later
+channel, i.e. when min(lo, M - b, u_max) <= m <= max(b - 1, hi, u_min),
+with [u_min, u_max] the range of the channels visited after m (in index
+order: an anchored link whose window still covers m, or an unanchored
+link whose fresh window would cover the whole tail). Any completion that
+wastes such a channel is beaten by handing the channel to that link: the
+link's rate grows, so the total does (unless the capacity is so small
+that it rounds away). A zero-capacity channel is left to the tie order,
+which prefers it unassigned.
 
 A subtree is pruned when its value bound falls strictly below the
 incumbent, so the optimal value is exact. When the value bound exactly
@@ -68,6 +89,7 @@ import itertools
 import sys
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,9 +114,13 @@ _MAX_SUBSET_LINKS = 6
 # Stack frames left to the caller when the search recurses once per channel.
 _STACK_MARGIN = 200
 
+# Below b = M, index order and largest-first take turns of this many nodes,
+# index order first.
+_SLICE_NODES = 1024
 
-class _BudgetExceeded(Exception):
-    pass
+
+class _Stop(Exception):
+    """Unwinds a search that will not be resumed."""
 
 
 @dataclass(frozen=True)
@@ -226,6 +252,118 @@ def _greedy_candidate(cap, n, m_total, b):
 
 
 # ---------------------------------------------------------------------------
+# Visit orders
+# ---------------------------------------------------------------------------
+
+def _topk_cums(values):
+    """[0, v1, v1 + v2, ...] over the values sorted largest first."""
+    return list(itertools.accumulate(sorted(values, reverse=True),
+                                     initial=0.0))
+
+
+def _unvisited_range(visit):
+    """first[p], final[p]: the lowest and highest channel at positions
+    p..M-1 of the visit order; M and -1 at p = M."""
+    m_total = len(visit)
+    first = itertools.accumulate(reversed(visit), min, initial=m_total)
+    final = itertools.accumulate(reversed(visit), max, initial=-1)
+    return list(first)[::-1], list(final)[::-1]
+
+
+def _order(visit, vcap, n, m_total, b, tail_topk, best_window, window_topk):
+    """The tables one visit order's search reads. Depth p decides channel
+    visit[p], and the channels still unvisited there sit at positions
+    p..M-1; vcap is the capacity matrix with its columns in visit order.
+
+    tail_topk[l][p][j]: sum of the j largest of link l's unvisited
+    capacities; best_window[l][p]: the best sum of unvisited capacities in
+    one width-b window; window_topk(l, p, a, e, k): the j-largest sums, j up
+    to k, of the unvisited capacities in channels a..e; reach_pos[e]: the
+    last position of a channel numbered at most e; dom_lo[p]/dom_hi[p]: the
+    "leave unassigned" dominance limits; ssuf/mask_topk: the subset
+    tables. `_index_order` and `_race.largest_first` supply the first
+    three."""
+    last = m_total - 1
+    position = [0] * m_total
+    for p, m in enumerate(visit):
+        position[m] = p
+    reach_pos = list(itertools.accumulate(position, max))
+    # giving channel visit[p] to a link never costs a completion when the
+    # link's feasible window starts that can still hold a later channel stay
+    # feasible; those starts lie within the later channels' index range
+    first, final = _unvisited_range(visit)
+    dom_lo = [min(m_total - b, final[p + 1]) for p in range(m_total)]
+    dom_hi = [max(b - 1, first[p + 1]) for p in range(m_total)]
+    # ssuf[mask][p]: suffix sums of the per-channel max over links in mask;
+    # mask_topk[mask][p][j]: sum of the j largest of those maxima in [p:]
+    ssuf = None
+    mask_topk = {}
+    if 2 <= n <= _MAX_SUBSET_LINKS:
+        ssuf = [[0.0] * (m_total + 1) for _ in range(1 << n)]
+        for mask in range(1, 1 << n):
+            rows = [vcap[l] for l in range(n) if mask & (1 << l)]
+            # rows[0] twice, so that max gets two arguments for one row
+            maxrow = list(map(max, rows[0], *rows))
+            row = ssuf[mask]
+            for k in range(last, -1, -1):
+                row[k] = row[k + 1] + maxrow[k]
+            if len(rows) >= 2:
+                mask_topk[mask] = [_topk_cums(maxrow[k:])
+                                   for k in range(m_total + 1)]
+    return SimpleNamespace(visit=visit, position=position, vcap=vcap,
+                           tail_topk=tail_topk, best_window=best_window,
+                           window_topk=window_topk, reach_pos=reach_pos,
+                           dom_lo=dom_lo, dom_hi=dom_hi, ssuf=ssuf,
+                           mask_topk=mask_topk)
+
+
+def _index_order(cap, n, m_total, b):
+    """Channels in index order. The channels a link can still reach are then
+    one run idx..e of the index, so window top-k sums are a table."""
+    last = m_total - 1
+    # suf[l][k]: plain float suffix sum of cap[l][k:]
+    suf = []
+    for l in range(n):
+        row = [0.0] * (m_total + 1)
+        for k in range(last, -1, -1):
+            row[k] = row[k + 1] + cap[l][k]
+        suf.append(row)
+    # best_window[l][k]: best sum of a width-b window starting at or after k
+    best_window = []
+    for l in range(n):
+        row = [0.0] * (m_total + 1)
+        best = 0.0
+        for k in range(last, -1, -1):
+            win = suf[l][k] - suf[l][min(k + b, m_total)]
+            if win > best:
+                best = win
+            row[k] = best
+        best_window.append(row)
+    # win_topk[l][i][e]: sum of the j largest capacities of cap[l][i..e],
+    # built only where the search reads it: e - i < b (an anchored window)
+    # and e = M - 1 (the tail)
+    win_topk = []
+    for l in range(n):
+        row = cap[l]
+        per_i = []
+        for i in range(m_total):
+            per_e = [None] * m_total
+            for e in range(i, min(i + b, last)):
+                per_e[e] = _topk_cums(row[i:e + 1])
+            per_e[last] = _topk_cums(row[i:])
+            per_i.append(per_e)
+        win_topk.append(per_i)
+    tail_topk = [[per_e[last] for per_e in per_i] for per_i in win_topk]
+    empty = (0.0,)
+
+    def window_topk(l, idx, a, e, k):
+        return win_topk[l][idx][e] if e >= idx else empty
+
+    return _order(list(range(m_total)), cap, n, m_total, b, tail_topk,
+                  best_window, window_topk)
+
+
+# ---------------------------------------------------------------------------
 # The search
 # ---------------------------------------------------------------------------
 
@@ -252,78 +390,6 @@ def solve(inst: ProblemInstance, *,
             f"minus {_STACK_MARGIN} frames for the caller)")
     cap = [[float(x) for x in row] for row in inst.capacity]
 
-    # --- visit order ----------------------------------------------------
-    # visit[p] is the channel searched at depth p; vcap is cap with its
-    # columns in visit order, and every table below is built over vcap
-    if b >= m_total:
-        col_sums = [sequential_sum(cap[l][m] for l in range(n))
-                    for m in range(m_total)]
-        visit = sorted(range(m_total), key=col_sums.__getitem__,
-                       reverse=True)
-    else:
-        visit = list(range(m_total))
-    vcap = [[row[m] for m in visit] for row in cap]
-    last = m_total - 1
-
-    # --- static tables ------------------------------------------------
-    def _topk_cums(values):
-        cums = [0.0]
-        for v in sorted(values, reverse=True):
-            cums.append(cums[-1] + v)
-        return cums
-
-    # suf[l][k]: plain float suffix sum of vcap[l][k:]
-    suf = []
-    for l in range(n):
-        row = [0.0] * (m_total + 1)
-        for k in range(last, -1, -1):
-            row[k] = row[k + 1] + vcap[l][k]
-        suf.append(row)
-    # best_window[l][k]: best sum of a width-b window starting at or after k
-    best_window = []
-    for l in range(n):
-        row = [0.0] * (m_total + 1)
-        best = 0.0
-        for k in range(last, -1, -1):
-            win = suf[l][k] - suf[l][min(k + b, m_total)]
-            if win > best:
-                best = win
-            row[k] = best
-        best_window.append(row)
-    # win_topk[l][i][e][j]: sum of the j largest capacities of vcap[l][i..e],
-    # built only where the search reads it: e - i < b (an anchored window)
-    # and e = M - 1 (the tail of an unanchored link)
-    win_topk = []
-    for l in range(n):
-        row = vcap[l]
-        per_i = []
-        for i in range(m_total):
-            per_e = [None] * m_total
-            for e in range(i, min(i + b, last)):
-                per_e[e] = _topk_cums(row[i:e + 1])
-            per_e[last] = _topk_cums(row[i:])
-            per_i.append(per_e)
-        win_topk.append(per_i)
-    # ssuf[mask][k]: suffix sums of the per-channel max over links in mask;
-    # mask_topk[mask][k][j]: sum of the j largest of those maxima in [k:]
-    use_subsets = 2 <= n <= _MAX_SUBSET_LINKS
-    ssuf = None
-    mask_topk = {}
-    subset_items = []
-    if use_subsets:
-        ssuf = [[0.0] * (m_total + 1) for _ in range(1 << n)]
-        for mask in range(1, 1 << n):
-            members = [l for l in range(n) if mask & (1 << l)]
-            maxrow = [max(vcap[l][k] for l in members)
-                      for k in range(m_total)]
-            row = ssuf[mask]
-            for k in range(last, -1, -1):
-                row[k] = row[k + 1] + maxrow[k]
-            if len(members) >= 2:
-                subset_items.append((mask, tuple(members)))
-                mask_topk[mask] = [_topk_cums(maxrow[k:])
-                                   for k in range(m_total + 1)]
-
     # --- incumbent ------------------------------------------------------
     candidates = _block_candidates(n, m_total, b)
     candidates.append(_greedy_candidate(cap, n, m_total, b))
@@ -347,185 +413,233 @@ def solve(inst: ProblemInstance, *,
             best_value, best_total = value, total
 
     # --- DFS ------------------------------------------------------------
-    # owner[p] is the owner of channel visit[p]; position inverts visit
-    position = [0] * m_total
-    for p, m in enumerate(visit):
-        position[m] = p
-    owner = [-1] * m_total
-    rate = [0.0] * n
-    lo = [m_total] * n
-    cnt = [0] * n
+    # a window wider than the band is the band: b is clamped to M
+    b = min(b, m_total)
+    last = m_total - 1
     nodes = 0
-    e_cache = [0] * n
-    k_cache = [0] * n
-    slots_cache = [0] * n
+    stop_at = node_budget
 
-    def dfs(idx, rate=rate, lo=lo, cnt=cnt, owner=owner, cap=vcap,
-            cap_index=cap, position=position,
-            e_cache=e_cache, k_cache=k_cache, slots_cache=slots_cache,
-            win_topk=win_topk, best_window=best_window,
-            subset_items=subset_items, ssuf=ssuf, mask_topk=mask_topk,
-            b=b, n=n, m_total=m_total, last=last, use_subsets=use_subsets):
-        nonlocal nodes, best_owner, best_value, best_total
-        if idx == m_total:
-            owners = [owner[p] for p in position]
-            value, total = _metric(owners, cap_index, n, m_total)
-            if _beats(n, value, total, owners, best_value, best_total,
-                      best_owner):
-                best_owner = owners
-                best_value, best_total = value, total
-            return
-        nodes += 1
-        if nodes > node_budget:
-            raise _BudgetExceeded
-        inc = best_value
-        remaining = m_total - idx
-        # bound sums reorder the additions that produced the incumbent, so
-        # equality tests get a relative slack of a few hundred ulps
-        slack = inc * 1e-12
-        dead = inc - slack
+    def search(t, pause):
+        """One complete DFS over the tables t of a visit order, sharing the
+        incumbent; calls pause() whenever the node count passes stop_at."""
+        # owner[p] is the owner of channel visit[p]; [lo, hi] is the range
+        # of channel numbers a link holds (lo = M, hi = -1 while it holds none)
+        owner = [-1] * m_total
+        rate = [0.0] * n
+        lo = [m_total] * n
+        hi = [-1] * n
+        cnt = [0] * n
+        e_cache = [0] * n
+        k_cache = [0] * n
+        slots_cache = [0] * n
+        subset_items = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
+                        for mask in t.mask_topk]
 
-        # per-link bounds plus the counting cut; a subtree whose value
-        # bound only ties the incumbent survives just when its optimistic
-        # total rate could still reach the incumbent's total
-        total_bound = 0.0
-        tie_possible = False
-        needed = 0
-        needy_mask = 0
-        none_dominated = False
-        for l in range(n):
-            r_l = rate[l]
-            if lo[l] < m_total:
-                e = lo[l] + b - 1
-                if e > last:
-                    e = last
-                e_cache[l] = e
-                if e < idx:
-                    slots = 0
-                    topk = (0.0,)
-                else:
-                    slots = b - cnt[l]
-                    width = e - idx + 1
-                    if width < slots:
-                        slots = width
-                    topk = win_topk[l][idx][e]
-                    if cap[l][idx] > 0.0:
-                        none_dominated = True
-                gain = topk[slots]
-            else:
-                e_cache[l] = last
-                if idx + b >= m_total and cap[l][idx] > 0.0:
-                    none_dominated = True
-                slots = b if b < remaining else remaining
-                topk = win_topk[l][idx][last]
-                gain = topk[slots]
-                bw = best_window[l][idx]
-                if bw < gain:
-                    gain = bw
-            slots_cache[l] = slots
-            ub_l = r_l + gain
-            total_bound += ub_l
-            if ub_l < dead:
+        def dfs(idx, rate=rate, lo=lo, hi=hi, cnt=cnt, owner=owner,
+                cap=t.vcap, cap_index=cap, visit=t.visit,
+                position=t.position, e_cache=e_cache, k_cache=k_cache,
+                slots_cache=slots_cache, tail_topk=t.tail_topk,
+                best_window=t.best_window, window_topk=t.window_topk,
+                reach_pos=t.reach_pos, dom_lo=t.dom_lo, dom_hi=t.dom_hi,
+                subset_items=subset_items, ssuf=t.ssuf,
+                mask_topk=t.mask_topk, b=b, n=n, m_total=m_total,
+                last=last):
+            nonlocal nodes, best_owner, best_value, best_total
+            if idx == m_total:
+                owners = [owner[p] for p in position]
+                value, total = _metric(owners, cap_index, n, m_total)
+                if _beats(n, value, total, owners, best_value, best_total,
+                          best_owner):
+                    best_owner = owners
+                    best_value, best_total = value, total
                 return
-            if ub_l <= inc:
-                tie_possible = True
-            if r_l <= inc:
-                deficit = inc - r_l - slack
-                if deficit > 0.0:
-                    j = 1
-                    while j <= slots and topk[j] < deficit:
-                        j += 1
-                    if j > slots:
-                        return
-                    needed += j
-                    k_cache[l] = j
+            nodes += 1
+            if nodes > stop_at:
+                pause()
+            inc = best_value
+            remaining = m_total - idx
+            # bound sums reorder the additions that produced the incumbent,
+            # so equality tests get a relative slack of a few hundred ulps
+            slack = inc * 1e-12
+            dead = inc - slack
+
+            # per-link bounds plus the counting cut; a subtree whose value
+            # bound only ties the incumbent survives just when its
+            # optimistic total rate could still reach the incumbent's total
+            total_bound = 0.0
+            tie_possible = False
+            needed = 0
+            needy_mask = 0
+            for l in range(n):
+                r_l = rate[l]
+                if cnt[l]:
+                    # the link's windows start in [hi-b+1, lo], so it can
+                    # still reach channels hi-b+1..e, at most b - cnt of them
+                    e = lo[l] + b - 1
+                    if e > last:
+                        e = last
+                    e_cache[l] = reach_pos[e]
+                    free = b - cnt[l]
+                    topk = window_topk(l, idx, hi[l] - b + 1, e, free)
+                    slots = len(topk) - 1
+                    if slots > free:
+                        slots = free
+                    gain = topk[slots]
+                else:
+                    e_cache[l] = last
+                    slots = b if b < remaining else remaining
+                    topk = tail_topk[l][idx]
+                    gain = topk[slots]
+                    bw = best_window[l][idx]
+                    if bw < gain:
+                        gain = bw
+                slots_cache[l] = slots
+                ub_l = r_l + gain
+                total_bound += ub_l
+                if ub_l < dead:
+                    return
+                if ub_l <= inc:
+                    tie_possible = True
+                if r_l <= inc:
+                    deficit = inc - r_l - slack
+                    if deficit > 0.0:
+                        j = 1
+                        while j <= slots and topk[j] < deficit:
+                            j += 1
+                        if j > slots:
+                            return
+                        needed += j
+                        k_cache[l] = j
+                    else:
+                        k_cache[l] = 0
+                    needy_mask |= 1 << l
                 else:
                     k_cache[l] = 0
-                needy_mask |= 1 << l
-            else:
-                k_cache[l] = 0
-        if needed > remaining:
-            return
-        total_short = total_bound < best_total - best_total * 1e-12
-        if tie_possible and total_short:
-            return
+            if needed > remaining:
+                return
+            total_short = total_bound < best_total - best_total * 1e-12
+            if tie_possible and total_short:
+                return
 
-        # subset averages and subset counting, over needy links only (a
-        # subset whose members all exceed the incumbent can never prune,
-        # and mixed subsets are dominated by their needy core)
-        if use_subsets and needy_mask:
-            for mask, members in subset_items:
-                if mask & ~needy_mask:
-                    continue
-                rate_sum = 0.0
-                needed_s = 0
-                slots_s = 0
-                for l in members:
-                    rate_sum += rate[l]
-                    needed_s += k_cache[l]
-                    slots_s += slots_cache[l]
-                ordered = sorted(members, key=e_cache.__getitem__)
-                reach = e_cache[ordered[-1]] - idx + 1
-                if reach < 0:
-                    reach = 0
-                if needed_s > (reach if reach < slots_s else slots_s):
-                    return
-                cur_mask = mask
-                start = idx
-                cap_sum = 0.0
-                for l in ordered:
-                    e = e_cache[l]
-                    if start <= e:
-                        srow = ssuf[cur_mask]
-                        cap_sum += srow[start] - srow[e + 1]
-                        start = e + 1
-                    cur_mask &= ~(1 << l)
-                    if start >= m_total:
-                        break
-                cards = slots_s if slots_s < remaining else remaining
-                topk_s = mask_topk[mask][idx]
-                if len(topk_s) - 1 > cards:
-                    capped = topk_s[cards]
-                    if capped < cap_sum:
-                        cap_sum = capped
-                ub_s = (rate_sum + cap_sum) / len(members)
-                if ub_s < dead:
-                    return
-                if ub_s <= inc and total_short:
-                    return
+            # subset averages and subset counting, over needy links only (a
+            # subset whose members all exceed the incumbent can never prune,
+            # and mixed subsets are dominated by their needy core)
+            if needy_mask and subset_items:
+                for mask, members in subset_items:
+                    if mask & ~needy_mask:
+                        continue
+                    rate_sum = 0.0
+                    needed_s = 0
+                    slots_s = 0
+                    for l in members:
+                        rate_sum += rate[l]
+                        needed_s += k_cache[l]
+                        slots_s += slots_cache[l]
+                    ordered = sorted(members, key=e_cache.__getitem__)
+                    reach = e_cache[ordered[-1]] - idx + 1
+                    if reach < 0:
+                        reach = 0
+                    if needed_s > (reach if reach < slots_s else slots_s):
+                        return
+                    cur_mask = mask
+                    start = idx
+                    cap_sum = 0.0
+                    for l in ordered:
+                        e = e_cache[l]
+                        if start <= e:
+                            srow = ssuf[cur_mask]
+                            cap_sum += srow[start] - srow[e + 1]
+                            start = e + 1
+                        cur_mask &= ~(1 << l)
+                        if start >= m_total:
+                            break
+                    cards = slots_s if slots_s < remaining else remaining
+                    topk_s = mask_topk[mask][idx]
+                    if len(topk_s) - 1 > cards:
+                        capped = topk_s[cards]
+                        if capped < cap_sum:
+                            cap_sum = capped
+                    ub_s = (rate_sum + cap_sum) / len(members)
+                    if ub_s < dead:
+                        return
+                    if ub_s <= inc and total_short:
+                        return
 
-        # branch: poorest link first (stable sort keeps index order on
-        # ties), unassigned last when not dominated
-        order = sorted(range(n), key=rate.__getitem__)
-        for l in order:
-            if lo[l] < m_total:
-                if idx - lo[l] + 1 > b:
+            # branch: poorest link first (stable sort keeps index order on
+            # ties), the channel fitting when the link's range stays within
+            # b; unassigned last, unless some link with positive capacity
+            # takes the channel without losing a usable window start
+            m = visit[idx]
+            none_dominated = False
+            d_lo = dom_lo[idx]
+            d_hi = dom_hi[idx]
+            for l in sorted(range(n), key=rate.__getitem__):
+                lo_l = lo[l]
+                hi_l = hi[l]
+                new_lo = m if m < lo_l else lo_l
+                new_hi = m if m > hi_l else hi_l
+                if new_hi - new_lo >= b:
                     continue
+                c = cap[l][idx]
+                if (not none_dominated and c > 0.0
+                        and (m >= lo_l or m >= d_lo)
+                        and (m <= hi_l or m <= d_hi)):
+                    none_dominated = True
                 old_rate = rate[l]
                 owner[idx] = l
-                rate[l] = old_rate + cap[l][idx]
+                rate[l] = old_rate + c
+                lo[l] = new_lo
+                hi[l] = new_hi
                 cnt[l] += 1
                 dfs(idx + 1)
                 rate[l] = old_rate
+                lo[l] = lo_l
+                hi[l] = hi_l
                 cnt[l] -= 1
-                owner[idx] = -1
-            else:
-                owner[idx] = l
-                rate[l] = cap[l][idx]
-                lo[l] = idx
-                cnt[l] = 1
+            owner[idx] = -1
+            if not none_dominated:
                 dfs(idx + 1)
-                rate[l] = 0.0
-                lo[l] = m_total
-                cnt[l] = 0
-                owner[idx] = -1
-        if not none_dominated:
-            dfs(idx + 1)
 
-    proven = True
-    try:
         dfs(0)
-    except _BudgetExceeded:
-        proven = False
+
+    # at b >= M no window binds and largest-first alone is fast; below it
+    # neither order wins everywhere, so index order and largest-first take
+    # turns, index order first, until one of them completes
+    proven = False
+    rival = None
+    turn = max(_SLICE_NODES, 1)
+
+    def take_turns():
+        """Index order's turn is over: largest-first gets one, then index
+        order goes on where it stopped."""
+        nonlocal stop_at, rival, proven
+        if nodes > node_budget:
+            raise _Stop
+        if rival is None:
+            from . import _race
+            rival = _race.Coroutine(lambda pause: search(
+                _race.largest_first(cap, n, m_total, b), pause))
+        stop_at = min(nodes + turn, node_budget)
+        if not rival.resume():
+            proven = True
+            raise _Stop
+        if nodes > node_budget:
+            raise _Stop
+        stop_at = min(nodes + turn, node_budget)
+
+    try:
+        if b >= m_total:
+            # the one search pauses only once the budget is spent
+            from ._race import largest_first
+            search(largest_first(cap, n, m_total, b), take_turns)
+        else:
+            stop_at = min(turn, node_budget)
+            search(_index_order(cap, n, m_total, b), take_turns)
+        proven = True
+    except _Stop:
+        pass
+    finally:
+        if rival is not None:
+            rival.close()
 
     return _result(inst, best_owner, proven, nodes, t_start)

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, printing a line per result.
 
 Run `pytest tests/test_acceptance.py -s` to see the per-criterion lines
-(allow roughly five to ten minutes; the trade-off sweep dominates).
+(allow a minute or two; the trade-off sweep and the full-scale solves
+dominate).
 
-Known red: the strict-recovery-rate clause (criterion 4b) measures ~84%
+Known red: the strict-recovery-rate clause (criterion 4b) measures 83/100
 against a 90% target at the default free-space / 1.5 GHz / 0.1 mW
 settings. The re-solved optimum value is implementation-independent, and
 the tie-broken baseline is pinned, so the rate is a property of the

@@ -179,6 +179,17 @@ def test_sweep_bad_b_list(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    code = _run("sweep", "--scenario", "grid4x12", "--b-list", "3,4",
+                "--realizations", "1", "--workers", workers,
+                "--out-dir", str(out))
+    assert code == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # realloc
 # ---------------------------------------------------------------------------
@@ -200,6 +211,27 @@ def test_realloc_csv_contract(tmp_path):
     baseline_min = min(by_condition["baseline"].values())
     assert realloc_min >= frozen_min
     assert frozen_min < baseline_min          # A hits channels in use
+
+
+@pytest.mark.parametrize("seed, new, still_optimal",
+                         [("3", "A", True), ("9", "A", False),
+                          ("5", "C", True)])
+def test_realloc_manifest_records_frozen_still_optimal(tmp_path, seed, new,
+                                                       still_optimal):
+    # seeds 3 (A) and 5 (C): the interference misses what re-solving could
+    # win back, so the frozen allocation stays optimal
+    out = tmp_path / "re"
+    code = _run("realloc", "--scenario", "grid4x12", "--b", "4",
+                "--seed", seed, "--baseline-interferers", "none",
+                "--new-interferers", new, "--out-dir", str(out))
+    assert code == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["frozen_still_optimal"] is still_optimal
+    rows = _read_csv(out / "realloc.csv")
+    frozen = [r[2] for r in rows[1:] if r[0] == "frozen"]
+    reallocated = [r[2] for r in rows[1:] if r[0] == "reallocated"]
+    if still_optimal:
+        assert min(map(float, frozen)) == min(map(float, reallocated))
 
 
 def test_realloc_rerun_byte_identical(tmp_path):

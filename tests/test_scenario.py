@@ -250,6 +250,22 @@ def test_sweep_workers_match_serial():
     assert np.array_equal(serial.values, parallel.values)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_nonpositive_workers(workers):
+    cfg = builtin_scenario("grid4x12")
+    with pytest.raises(ValidationError, match="workers"):
+        sweep(cfg, [3, 4], realizations=1, rng=42, workers=workers)
+
+
+def test_reallocation_reports_frozen_still_optimal():
+    cfg = builtin_scenario("grid4x12")
+    for seed, new, expected in ((3, "A", True), (9, "A", False)):
+        res = reallocation_experiment(cfg, set(), {new}, span_bound=4,
+                                      rng=seed)
+        assert res.frozen_still_optimal is expected
+        assert expected == (res.frozen_min == res.reallocated_min)
+
+
 def test_sweep_strict_bounds():
     cfg = builtin_scenario("grid4x12")      # ceil(12/4) = 3
     with pytest.raises(ValidationError):

@@ -1,4 +1,6 @@
+import concurrent.futures
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ncofdm_alloc.model import (
     evaluate_rates,
     rng_streams,
 )
+from ncofdm_alloc import _race, solver
 from ncofdm_alloc.oracle import brute_force
 from ncofdm_alloc.scenario import GRID4X12, instance_from_gains, realize_gains
 from ncofdm_alloc.solver import (
@@ -168,6 +171,26 @@ def test_exact_ties_match_oracle():
                               oracle.allocation.entries)
 
 
+def test_exact_ties_match_oracle_across_slices(monkeypatch):
+    # small instances finish inside the first index-order slice; one-node
+    # slices hand the search back and forth between index order and
+    # largest-first, so below b = M both orders and every hand-over of the
+    # shared incumbent meet the oracle too
+    monkeypatch.setattr(solver, "_SLICE_NODES", 1)
+    test_exact_ties_match_oracle()
+    rng = np.random.default_rng(2025)
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(2, 9 if n < 3 else 8))
+        b = int(rng.integers(1, m))
+        inst = _instance(rng.integers(0, 4, size=(n, m)) * 0.1, b)
+        res, oracle = solve(inst), brute_force(inst)
+        assert res.proven_optimal
+        assert res.maxmin.hex() == oracle.maxmin.hex()
+        assert np.array_equal(res.allocation.entries,
+                              oracle.allocation.entries)
+
+
 def test_total_tie_in_the_last_bit_matches_oracle():
     # the oracle's allocation totals one ulp more than another allocation
     # with the same maxmin; the total-rate bounds add in another order than
@@ -207,6 +230,134 @@ def test_grid_b12_allocation_pinned(entry):
     assert res.maxmin.hex() == maxmin
     # index order needs ~6e5 nodes here, largest-first 5e3 to 1.4e4
     assert res.nodes_explored <= 50_000
+
+
+def _grid_instance(entry, active, b):
+    gen, = rng_streams(np.random.default_rng((1000, entry)), 1)
+    gains = realize_gains(GRID4X12, gen)
+    return instance_from_gains(GRID4X12, gains, active, span_bound=b)
+
+
+# b < M owner vectors of the same draws, recorded with the index-order
+# search alone; the race of index order and largest-first must reproduce
+# them
+_BELOW_M_PINS = {
+    (0, 6): ([0, 0, 0, 3, 2, 2, 2, 3, 1, 2, 1, 1], "0x1.11c8762526ec0p+22"),
+    (0, 8): ([0, 0, 0, 3, 2, 2, 2, 1, 3, 2, 3, 1], "0x1.11c8762526ec0p+22"),
+    (5, 6): ([3, 0, 0, 3, 3, 2, 0, 1, 2, 2, 2, 1], "0x1.12cef11cf3b24p+22"),
+    (5, 8): ([2, 2, 0, 1, 2, 2, 0, 1, 0, 3, 3, 3], "0x1.1322f54fc96f2p+22"),
+    (12, 6): ([1, 1, 0, 1, 2, 0, 0, 2, 2, 3, 3, 3], "0x1.123cdb141e1cep+22"),
+    (12, 8): ([3, 3, 0, 3, 2, 0, 0, 1, 2, 2, 2, 1], "0x1.123cdb141e1cep+22"),
+}
+
+
+@pytest.mark.parametrize("entry, b", sorted(_BELOW_M_PINS))
+def test_grid_below_m_allocation_pinned(entry, b):
+    res = solve(_grid_instance(entry, {"A", "B", "C"}, b))
+    owners, maxmin = _BELOW_M_PINS[entry, b]
+    assert res.proven_optimal
+    assert res.allocation.owner_vector() == owners
+    assert res.maxmin.hex() == maxmin
+    if b == 8:
+        # index order alone needs ~85k nodes here, the race 3k to 8k
+        assert res.nodes_explored <= 20_000
+
+
+def test_grid_race_overhead_where_index_order_wins():
+    # with interferer A alone index order proves b = 8 in 1,399 nodes and
+    # largest-first needs ~8e4; the race may spend at most 4x the former
+    res = solve(_grid_instance(5, {"A"}, 8))
+    assert res.proven_optimal
+    assert res.allocation.owner_vector() == [3, 2, 0, 2, 3, 0, 3, 1, 2, 0,
+                                             1, 1]
+    assert res.maxmin.hex() == "0x1.73410ce5b733ep+22"
+    assert res.nodes_explored <= 4 * 1399
+
+
+def test_race_budget_exhaustion_leaves_no_thread():
+    # the budget runs out while index order and largest-first take turns
+    threads = threading.active_count()
+    inst = _grid_instance(0, {"A", "B", "C"}, 8)
+    res = solve(inst, node_budget=3000)
+    assert not res.proven_optimal
+    assert res.nodes_explored == 3001
+    assert verify_solution(inst, res)
+    assert threading.active_count() == threads
+
+
+def test_race_is_deterministic_under_thread_switching(monkeypatch):
+    # the two searches share the incumbent and the node count; they must
+    # hand over strictly, whatever the interpreter's thread switching, and
+    # concurrent solves must not see each other's state
+    monkeypatch.setattr(solver, "_SLICE_NODES", 64)
+    inst = _grid_instance(5, {"A", "B", "C"}, 7)
+    ref = solve(inst)
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve, inst) for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(saved)
+    for res in results:
+        assert res.nodes_explored == ref.nodes_explored
+        assert res.allocation.owner_vector() == ref.allocation.owner_vector()
+        assert res.maxmin.hex() == ref.maxmin.hex()
+
+
+def test_race_error_in_a_turn_reaches_the_caller(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("table build failed")
+
+    monkeypatch.setattr(_race, "largest_first", broken)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="table build failed"):
+        solve(_grid_instance(0, {"A", "B", "C"}, 8))
+    assert threading.active_count() == threads
+
+
+# ---------------------------------------------------------------------------
+# invariants, with the default slices and with one-node slices that make
+# index order and largest-first share every solve below b = M
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=[None, 1], ids=["default-slice", "one-node-slice"])
+def slice_nodes(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(solver, "_SLICE_NODES", request.param)
+
+
+def test_power_of_two_scaling_is_exact(slice_nodes):
+    rng = np.random.default_rng(404)
+    for _ in range(30):
+        base_inst = _random_instance(rng, n_range=(2, 3), m_range=(3, 8))
+        base = solve(base_inst)
+        for k in (-3, 5):
+            inst = _instance(base_inst.capacity * 2.0 ** k,
+                             base_inst.span_bound)
+            res = solve(inst)
+            assert res.maxmin == 2.0 ** k * base.maxmin
+            assert np.array_equal(res.allocation.entries,
+                                  base.allocation.entries)
+
+
+def test_link_permutation_keeps_maxmin(slice_nodes):
+    rng = np.random.default_rng(505)
+    for _ in range(30):
+        inst = _random_instance(rng, n_range=(2, 3), m_range=(3, 8))
+        perm = rng.permutation(inst.num_links)
+        permuted = _instance(inst.capacity[perm], inst.span_bound)
+        assert solve(permuted).maxmin == solve(inst).maxmin
+
+
+def test_maxmin_does_not_decrease_in_b(slice_nodes):
+    rng = np.random.default_rng(606)
+    for _ in range(12):
+        inst = _random_instance(rng, n_range=(2, 3), m_range=(4, 8))
+        values = [solve(inst.with_span_bound(b)).maxmin
+                  for b in range(1, inst.num_channels + 1)]
+        assert all(v1 <= v2 for v1, v2 in zip(values, values[1:]))
 
 
 def test_search_depth_margin_suffices():
