@@ -25,14 +25,14 @@ classic remedy for number partitioning (Korf, AIJ 1998 and IJCAI 2009),
 which the problem becomes when many near-equal interfered channels must
 be shared. Neither wins everywhere below b = M, so the two race in node
 slices (an algorithm portfolio, Gomes & Selman, AIJ 2001). Index order
-first searches `_SLICE_NODES` nodes alone; a solve it settles there costs
-exactly what it did before the race existed, and builds no largest-first
-table. Otherwise index order and a largest-first search take turns of
-`_SLICE_NODES` nodes, each resumed where its last turn ended and sharing
-the best allocation found so far, until one completes; it proves the
-result. Largest-first runs on a thread of its own, but strictly one
-search runs at a time, so the turns and node counts are deterministic;
-its tables and that thread live in `_race`, loaded on first use.
+first searches `_SLICE_NODES` nodes alone; a solve it settles there
+builds no largest-first table. Otherwise index order and a largest-first
+search take turns of `_SLICE_NODES` nodes, each resumed where its last
+turn ended and sharing the best allocation found so far, until one
+completes; it proves the result. Largest-first runs on a thread of its
+own, but strictly one search runs at a time, so the turns and node
+counts are deterministic; its tables and that thread live in `_race`,
+loaded on first use.
 `node_budget` caps the nodes of all turns together. Where one order is
 much faster, the race costs up to about twice its nodes, plus one turn.
 At b >= M no window binds and largest-first runs alone.
@@ -57,26 +57,46 @@ underestimating) devices:
   remaining channel count (and, per subset, into the channels the subset
   can actually reach).
 
-One dominance rule is applied on top: the "leave unassigned" branch is
-skipped whenever some link with positive capacity on the channel can
-take it without losing a window start that could still hold a later
-channel, i.e. when min(lo, M - b, u_max) <= m <= max(b - 1, hi, u_min),
-with [u_min, u_max] the range of the channels visited after m (in index
-order: an anchored link whose window still covers m, or an unanchored
-link whose fresh window would cover the whole tail). Any completion that
-wastes such a channel is beaten by handing the channel to that link: the
-link's rate grows, so the total does (unless the capacity is so small
-that it rounds away). A zero-capacity channel is left to the tie order,
-which prefers it unassigned.
+A subtree is pruned only when a value bound falls below the incumbent by
+more than a relative slack of 1e-12. Bounds add capacities in another
+order than the leaves, so a leaf can exceed its subtree's bound by an
+ulp, and a subtree whose bound only ties the incumbent is searched.
 
-A subtree is pruned when its value bound falls strictly below the
-incumbent, so the optimal value is exact. When the value bound exactly
-equals the incumbent the subtree may still hold an equal-value allocation
-with a larger total rate, so it is pruned only if an optimistic total-rate
-bound also falls short of the incumbent's total by more than rounding
-could account for; this keeps the tie order of `_beats` (total rate, then
-the allocation matrix) effective rather than decorative. Exact float
-equality is rare off the tie manifolds, so the extra exploration is cheap.
+Two dominance rules are applied on top. Each skips a branch only when
+every completion of it is beaten, under `_beats`, by a feasible
+allocation elsewhere; the unique best allocation is beaten by none, so no
+rule ever cuts its path. Both rely on a margin of 1e-9 times the sum of
+all capacities: it lies far above the rounding of any rate or total sum,
+so a change by more than the margin moves the canonical sums too. A
+capacity or a difference within it may round away, and is left to the
+tie order (which, for instance, prefers a channel unassigned).
+
+* Leave unassigned: the branch is skipped whenever some link with a
+  capacity above the margin on the channel can take it without losing a
+  window start that could still hold a later channel, i.e. when
+  min(lo, M - b, u_max) <= m <= max(b - 1, hi, u_min), with
+  [u_min, u_max] the range of the channels visited after m (in index
+  order: an anchored link whose window still covers m, or an unanchored
+  link whose fresh window would cover the whole tail). Handing the
+  channel to that link raises its rate, and so the total.
+* Pairwise exchange, the dominance criterion of bin completion (Martello
+  & Toth, "Knapsack Problems", 1990; Korf, IJCAI 2003): giving channel m
+  to link l is skipped when an earlier-visited channel x held by another
+  link o would be worth more than m to l, and m more than x to o, each by
+  more than the margin, and the swap keeps both links within b in every
+  completion. The swap then raises both links' rates, so it keeps the
+  minimum and raises the total. A margin relative to the two capacities
+  alone would let a swap of tiny capacities round away and cut the tie
+  order's optimum. The span test bounds what later channels can add: a
+  link holding [lo, hi] can still reach up to
+  hi' = max(hi, min(u_max, lo + b - 1)) and down to
+  lo' = min(lo, max(u_min, hi - b + 1)), so a channel x fits it in every
+  completion when hi' - b < x < lo' + b; at b >= M every swap fits. Each
+  link's held positions are a bitmask, and each visit order keeps, per
+  position and link, the bitmasks of the positions the link prefers by
+  more than the margin and of those it prefers less. A node then costs
+  one AND per link, a branch one more, and the span test runs only on
+  the surviving bits.
 
 The search recurses once per channel, so instances with more channels
 than the interpreter's recursion limit allows, less `_STACK_MARGIN`
@@ -85,7 +105,10 @@ frames, are rejected before any table is built.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -255,6 +278,19 @@ def _greedy_candidate(cap, n, m_total, b):
 # Visit orders
 # ---------------------------------------------------------------------------
 
+class _PerDepth(dict):
+    """A table whose row for a depth is built by `build(depth)` on first
+    use, so set-up pays only for the depths a search reaches."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, depth):
+        row = self[depth] = self._build(depth)
+        return row
+
+
 def _topk_cums(values):
     """[0, v1, v1 + v2, ...] over the values sorted largest first."""
     return list(itertools.accumulate(sorted(values, reverse=True),
@@ -280,9 +316,11 @@ def _order(visit, vcap, n, m_total, b, tail_topk, best_window, window_topk):
     one width-b window; window_topk(l, p, a, e, k): the j-largest sums, j up
     to k, of the unvisited capacities in channels a..e; reach_pos[e]: the
     last position of a channel numbered at most e; dom_lo[p]/dom_hi[p]: the
-    "leave unassigned" dominance limits; ssuf/mask_topk: the subset
-    tables. `_index_order` and `_race.largest_first` supply the first
-    three."""
+    "leave unassigned" dominance limits; u_min[p]/u_max[p]: the lowest and
+    highest channel visited after depth p; margin, exchange and below: the
+    dominance margin and the pairwise-exchange bitmasks; ssuf/mask_topk:
+    the subset tables. `_index_order` and `_race.largest_first` supply the
+    first three."""
     last = m_total - 1
     position = [0] * m_total
     for p, m in enumerate(visit):
@@ -294,6 +332,31 @@ def _order(visit, vcap, n, m_total, b, tail_topk, best_window, window_topk):
     first, final = _unvisited_range(visit)
     dom_lo = [min(m_total - b, final[p + 1]) for p in range(m_total)]
     dom_hi = [max(b - 1, first[p + 1]) for p in range(m_total)]
+    # pairwise exchange: exchange[p] = (better, worse), where better[l]
+    # holds bit q when link l gains more than the margin by holding channel
+    # visit[q] instead of visit[p], and worse[l] bit q when it loses more;
+    # a depth's row is built on its first visit
+    margin = 1e-9 * math.fsum(itertools.chain.from_iterable(vcap))
+    ranks = []
+    for row in vcap:
+        # ascending capacities, and the positions of the k smallest
+        ranked = sorted(range(m_total), key=row.__getitem__)
+        smallest = list(itertools.accumulate((1 << q for q in ranked),
+                                             operator.or_, initial=0))
+        ranks.append((row, [row[q] for q in ranked], smallest))
+
+    def exchange_row(p):
+        better, worse = [], []
+        for row, ascending, smallest in ranks:
+            c = row[p]
+            better.append(smallest[-1] ^ smallest[
+                bisect.bisect_right(ascending, c + margin)])
+            worse.append(smallest[bisect.bisect_left(ascending, c - margin)])
+        return better, worse
+
+    # below[c] holds the positions of the channels numbered under c
+    below = list(itertools.accumulate((1 << p for p in position),
+                                      operator.or_, initial=0))
     # ssuf[mask][p]: suffix sums of the per-channel max over links in mask;
     # mask_topk[mask][p][j]: sum of the j largest of those maxima in [p:]
     ssuf = None
@@ -313,7 +376,9 @@ def _order(visit, vcap, n, m_total, b, tail_topk, best_window, window_topk):
     return SimpleNamespace(visit=visit, position=position, vcap=vcap,
                            tail_topk=tail_topk, best_window=best_window,
                            window_topk=window_topk, reach_pos=reach_pos,
-                           dom_lo=dom_lo, dom_hi=dom_hi, ssuf=ssuf,
+                           dom_lo=dom_lo, dom_hi=dom_hi, u_min=first[1:],
+                           u_max=final[1:], exchange=_PerDepth(exchange_row),
+                           below=below, margin=margin, ssuf=ssuf,
                            mask_topk=mask_topk)
 
 
@@ -429,20 +494,24 @@ def solve(inst: ProblemInstance, *,
         lo = [m_total] * n
         hi = [-1] * n
         cnt = [0] * n
+        # held[l]: the positions link l holds, one bit each
+        held = [0] * n
         e_cache = [0] * n
         k_cache = [0] * n
         slots_cache = [0] * n
         subset_items = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
                         for mask in t.mask_topk]
 
-        def dfs(idx, rate=rate, lo=lo, hi=hi, cnt=cnt, owner=owner,
-                cap=t.vcap, cap_index=cap, visit=t.visit,
+        def dfs(idx, rate=rate, lo=lo, hi=hi, cnt=cnt, held=held,
+                owner=owner, cap=t.vcap, cap_index=cap, visit=t.visit,
                 position=t.position, e_cache=e_cache, k_cache=k_cache,
                 slots_cache=slots_cache, tail_topk=t.tail_topk,
                 best_window=t.best_window, window_topk=t.window_topk,
                 reach_pos=t.reach_pos, dom_lo=t.dom_lo, dom_hi=t.dom_hi,
-                subset_items=subset_items, ssuf=t.ssuf,
-                mask_topk=t.mask_topk, b=b, n=n, m_total=m_total,
+                u_min=t.u_min, u_max=t.u_max, exchange=t.exchange,
+                margin=t.margin,
+                below=t.below, subset_items=subset_items,
+                ssuf=t.ssuf, mask_topk=t.mask_topk, b=b, n=n, m_total=m_total,
                 last=last):
             nonlocal nodes, best_owner, best_value, best_total
             if idx == m_total:
@@ -463,11 +532,7 @@ def solve(inst: ProblemInstance, *,
             slack = inc * 1e-12
             dead = inc - slack
 
-            # per-link bounds plus the counting cut; a subtree whose value
-            # bound only ties the incumbent survives just when its
-            # optimistic total rate could still reach the incumbent's total
-            total_bound = 0.0
-            tie_possible = False
+            # per-link bounds plus the counting cut
             needed = 0
             needy_mask = 0
             for l in range(n):
@@ -494,12 +559,8 @@ def solve(inst: ProblemInstance, *,
                     if bw < gain:
                         gain = bw
                 slots_cache[l] = slots
-                ub_l = r_l + gain
-                total_bound += ub_l
-                if ub_l < dead:
+                if r_l + gain < dead:
                     return
-                if ub_l <= inc:
-                    tie_possible = True
                 if r_l <= inc:
                     deficit = inc - r_l - slack
                     if deficit > 0.0:
@@ -516,9 +577,6 @@ def solve(inst: ProblemInstance, *,
                 else:
                     k_cache[l] = 0
             if needed > remaining:
-                return
-            total_short = total_bound < best_total - best_total * 1e-12
-            if tie_possible and total_short:
                 return
 
             # subset averages and subset counting, over needy links only (a
@@ -559,20 +617,49 @@ def solve(inst: ProblemInstance, *,
                         capped = topk_s[cards]
                         if capped < cap_sum:
                             cap_sum = capped
-                    ub_s = (rate_sum + cap_sum) / len(members)
-                    if ub_s < dead:
-                        return
-                    if ub_s <= inc and total_short:
+                    if (rate_sum + cap_sum) / len(members) < dead:
                         return
 
             # branch: poorest link first (stable sort keeps index order on
             # ties), the channel fitting when the link's range stays within
-            # b; unassigned last, unless some link with positive capacity
-            # takes the channel without losing a usable window start
+            # b; unassigned last, unless some link with a capacity above
+            # the margin takes the channel without losing a usable window
+            # start
             m = visit[idx]
             none_dominated = False
             d_lo = dom_lo[idx]
             d_hi = dom_hi[idx]
+            # pairwise exchange. A link with range [lo, hi] can still reach
+            # up to hi' = max(hi, min(u_hi, lo + b - 1)) and down to
+            # lo' = min(lo, max(u_lo, hi - b + 1)), with [u_lo, u_hi] the
+            # range of the unvisited channels, so a channel x fits it in
+            # every completion when hi' - b < x < lo' + b. swappable: the
+            # positions whose owner would rather have m, and which m fits
+            # in every completion
+            u_lo = u_min[idx]
+            u_hi = u_max[idx]
+            swappable = 0
+            wanted, wants_m = exchange[idx]
+            for o in range(n):
+                swaps = held[o] & wants_m[o]
+                if swaps and b < m_total:
+                    lo_o = lo[o]
+                    hi_o = hi[o]
+                    reach = lo_o + b - 1
+                    if reach > u_hi:
+                        reach = u_hi
+                    if reach < hi_o:
+                        reach = hi_o
+                    if m <= reach - b:
+                        continue
+                    reach = hi_o - b + 1
+                    if reach < u_lo:
+                        reach = u_lo
+                    if reach > lo_o:
+                        reach = lo_o
+                    if m >= reach + b:
+                        continue
+                swappable |= swaps
             for l in sorted(range(n), key=rate.__getitem__):
                 lo_l = lo[l]
                 hi_l = hi[l]
@@ -581,21 +668,48 @@ def solve(inst: ProblemInstance, *,
                 if new_hi - new_lo >= b:
                     continue
                 c = cap[l][idx]
-                if (not none_dominated and c > 0.0
+                if (not none_dominated and c > margin
                         and (m >= lo_l or m >= d_lo)
                         and (m <= hi_l or m <= d_hi)):
                     none_dominated = True
+                # l would rather hold some swappable channel x that fits it
+                # in every completion: swapping x and m raises both links'
+                # rates, so the swap beats every completion of this branch
+                swaps = swappable & wanted[l]
+                if swaps and b < m_total:
+                    reach = new_lo + b - 1
+                    if reach > u_hi:
+                        reach = u_hi
+                    if reach < new_hi:
+                        reach = new_hi
+                    x_lo = reach - b + 1
+                    reach = new_hi - b + 1
+                    if reach < u_lo:
+                        reach = u_lo
+                    if reach > new_lo:
+                        reach = new_lo
+                    x_hi = reach + b
+                    if x_lo < 0:
+                        x_lo = 0
+                    if x_hi > m_total:
+                        x_hi = m_total
+                    swaps &= below[x_hi] ^ below[x_lo]
+                if swaps:
+                    continue
                 old_rate = rate[l]
+                old_held = held[l]
                 owner[idx] = l
                 rate[l] = old_rate + c
                 lo[l] = new_lo
                 hi[l] = new_hi
                 cnt[l] += 1
+                held[l] = old_held | 1 << idx
                 dfs(idx + 1)
                 rate[l] = old_rate
                 lo[l] = lo_l
                 hi[l] = hi_l
                 cnt[l] -= 1
+                held[l] = old_held
             owner[idx] = -1
             if not none_dominated:
                 dfs(idx + 1)

@@ -39,6 +39,13 @@ def _random_instance(rng, n_range=(1, 3), m_range=(2, 8)):
     return _instance(cap, b)
 
 
+def _assert_matches_oracle(inst):
+    res, oracle = solve(inst), brute_force(inst)
+    assert res.proven_optimal
+    assert res.maxmin.hex() == oracle.maxmin.hex()
+    assert np.array_equal(res.allocation.entries, oracle.allocation.entries)
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -206,6 +213,39 @@ def test_total_tie_in_the_last_bit_matches_oracle():
     assert np.array_equal(res.allocation.entries, oracle.allocation.entries)
 
 
+@pytest.mark.parametrize("cap, b, maxmin", [
+    ([[0.1, 0.2, 0.3, 0.2, 0, 0.2], [0.2, 0.3, 0, 0.1, 0.1, 0.2]], 6,
+     "0x1.3333333333334p-1"),
+    ([[0, 0.1, 0.2, 0.2, 0, 0.1 * 3, 0.1 * 3],
+      [0.1, 0.1, 0.1 * 3, 0.1, 0.2, 0.1, 0.1 * 3]], 7,
+     "0x1.6666666666667p-1"),
+], ids=["six-channels", "seven-channels"])
+def test_maxmin_exact_to_the_last_bit(cap, b, maxmin):
+    # a subtree whose value bound lies within rounding of the incumbent can
+    # hold a leaf one ulp above it: bounds add capacities in another order
+    # than the leaves, so no subtree is cut for only tying the incumbent
+    inst = _instance(np.array(cap), b)
+    res, oracle = solve(inst), brute_force(inst)
+    assert res.maxmin.hex() == maxmin == oracle.maxmin.hex()
+    assert np.array_equal(res.allocation.entries, oracle.allocation.entries)
+
+
+def test_capacity_that_rounds_away_stays_unassigned():
+    # 1 + 1e-17 == 1, so giving the tiny channels to the link changes no
+    # rate and no total, and the tie order prefers them unassigned; the
+    # "leave unassigned" branch must not be skipped for them
+    res = solve(_instance([[1.0, 1e-17, 1e-20]]))
+    assert res.allocation.owner_vector() == [0, -1, -1]
+    # capacities spread over 25 orders of magnitude
+    rng = np.random.default_rng(909)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(2, 8 if n < 3 else 7))
+        cap = (rng.uniform(0, 1, size=(n, m))
+               * 10.0 ** rng.integers(-25, 1, size=(n, m)))
+        _assert_matches_oracle(_instance(cap, int(rng.integers(1, m + 1))))
+
+
 # b = 12 owner vectors of three grid4x12 draws with interferers A, B, C
 # (the one realization of a sweep seeded with the generator (1000, entry),
 # as in the benchmark's sweep pool), recorded with the index-order search;
@@ -228,7 +268,8 @@ def test_grid_b12_allocation_pinned(entry):
     assert res.proven_optimal
     assert res.allocation.owner_vector() == owners
     assert res.maxmin.hex() == maxmin
-    # index order needs ~6e5 nodes here, largest-first 5e3 to 1.4e4
+    # index order needs ~6e5 nodes here, largest-first 4.9e3 to 1.4e4, and
+    # 1.1e3 to 2.8e3 with the pairwise-exchange rule
     assert res.nodes_explored <= 50_000
 
 
@@ -236,6 +277,21 @@ def _grid_instance(entry, active, b):
     gen, = rng_streams(np.random.default_rng((1000, entry)), 1)
     gains = realize_gains(GRID4X12, gen)
     return instance_from_gains(GRID4X12, gains, active, span_bound=b)
+
+
+@pytest.mark.parametrize("entry, owners, maxmin", [
+    (0, [0, 3, 2, 3, 2, 2, 1, 3, 1, 0, 1, 0], "0x1.73becd8357d4ap+22"),
+    (5, [3, 2, 0, 2, 1, 2, 3, 1, 3, 1, 0, 0], "0x1.736f8def7f874p+22"),
+])
+def test_grid_b12_under_interferer_a_alone(entry, owners, maxmin):
+    # many clean channels of near-equal capacity: largest-first took
+    # 107,781 and 110,225 nodes here proving optimality over every way to
+    # share them, and ~3e3 to 5e3 once improving swaps are cut
+    res = solve(_grid_instance(entry, {"A"}, 12))
+    assert res.proven_optimal
+    assert res.allocation.owner_vector() == owners
+    assert res.maxmin.hex() == maxmin
+    assert res.nodes_explored <= 10_000
 
 
 # b < M owner vectors of the same draws, recorded with the index-order
@@ -259,7 +315,8 @@ def test_grid_below_m_allocation_pinned(entry, b):
     assert res.allocation.owner_vector() == owners
     assert res.maxmin.hex() == maxmin
     if b == 8:
-        # index order alone needs ~85k nodes here, the race 3k to 8k
+        # index order alone needs ~85k nodes here, the race 3k to 8k, and
+        # 3k to 4k with the pairwise-exchange rule
         assert res.nodes_explored <= 20_000
 
 
@@ -358,6 +415,46 @@ def test_maxmin_does_not_decrease_in_b(slice_nodes):
         values = [solve(inst.with_span_bound(b)).maxmin
                   for b in range(1, inst.num_channels + 1)]
         assert all(v1 <= v2 for v1, v2 in zip(values, values[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the pairwise-exchange rule against the oracle, with the default slices and
+# with one-node slices
+# ---------------------------------------------------------------------------
+
+def test_exchange_near_equal_capacities_below_m(slice_nodes):
+    # a swap that fits both links' current ranges can break the span cap
+    # once later channels widen a range, so the rule must test every range
+    # the two links can still reach
+    near = [[1.000002, 1.000003, 1.000003, 1.000003, 1.000001],
+            [1.000003, 1.000001, 1.000002, 1.000002, 1.000001]]
+    _assert_matches_oracle(_instance(near, 3))
+    rng = np.random.default_rng(707)
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(4, 8 if n < 3 else 7))
+        cap = 1 + rng.integers(0, 4, size=(n, m)) * 1e-6
+        _assert_matches_oracle(_instance(cap, int(rng.integers(2, m))))
+
+
+def test_exchange_margin_with_tiny_capacities(slice_nodes):
+    # capacities near 1e-10 that differ by ~1e-17, beside rates of order 1:
+    # a swap between them moves the rates by less than rounding, so it does
+    # not beat the original, and a margin relative to the two capacities
+    # alone would cut the tie order's optimum; the margin must scale with
+    # all capacities
+    t0, t1, t2, t3 = (1e-10 * (1 + k * 1e-7) for k in range(4))
+    _assert_matches_oracle(_instance([[t3, 2.0, 3.0, t0, t1],
+                                      [t0, t1, 2.0, t0, t1]]))
+    rng = np.random.default_rng(808)
+    for case in range(40):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(3, 8 if n < 3 else 7))
+        b = m if case % 2 else int(rng.integers(2, m + 1))
+        big = rng.integers(1, 4, size=(n, m)) * 1.0
+        tiny = 1e-10 * (1 + rng.integers(0, 4, size=(n, m)) * 1e-7)
+        cap = np.where(rng.random((n, m)) < 0.5, big, tiny)
+        _assert_matches_oracle(_instance(cap, b))
 
 
 def test_search_depth_margin_suffices():
