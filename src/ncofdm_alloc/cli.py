@@ -240,6 +240,8 @@ def _read_matrix_csv(path: Path):
     if not header or header[0] != "link":
         raise ValidationError(f"{path}: first column must be 'link'")
     width = len(header) - 1
+    if not width:
+        raise ValidationError(f"{path}: no channel columns")
     ids, values = [], []
     for row in rows[1:]:
         if len(row) != width + 1:

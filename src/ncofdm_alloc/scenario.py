@@ -88,7 +88,17 @@ def builtin_scenario(name: str) -> ScenarioConfig:
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a config from parsed JSON. Unknown keys are errors so that a
-    typo cannot silently fall back to a default."""
+    typo cannot silently fall back to a default, and so is a value of the
+    wrong type."""
+    try:
+        return _config_from_dict(data)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid config: {exc}") from exc
+
+
+def _config_from_dict(data):
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS

@@ -29,10 +29,9 @@ first searches `_SLICE_NODES` nodes alone; a solve it settles there
 builds no largest-first table. Otherwise index order and a largest-first
 search take turns of `_SLICE_NODES` nodes, each resumed where its last
 turn ended and sharing the best allocation found so far, until one
-completes; it proves the result. Largest-first runs on a thread of its
-own, but strictly one search runs at a time, so the turns and node
-counts are deterministic; its tables and that thread live in `_race`,
-loaded on first use.
+completes; it proves the result. Each search is a generator that yields
+when its turn is over, so both run in the caller's thread, one at a time,
+and the turns and node counts are deterministic.
 `node_budget` caps the nodes of all turns together. Where one order is
 much faster, the race costs up to about twice its nodes, plus one turn.
 At b >= M no window binds and largest-first runs alone.
@@ -98,9 +97,10 @@ tie order (which, for instance, prefers a channel unassigned).
   one AND per link, a branch one more, and the span test runs only on
   the surviving bits.
 
-The search recurses once per channel, so instances with more channels
-than the interpreter's recursion limit allows, less `_STACK_MARGIN`
-frames, are rejected before any table is built.
+The search recurses once per channel, a chain of generators that counts
+against the interpreter's recursion limit as calls do, so instances with
+more channels than that limit allows, less `_STACK_MARGIN` frames, are
+rejected before any table is built.
 """
 
 from __future__ import annotations
@@ -140,10 +140,6 @@ _STACK_MARGIN = 200
 # Below b = M, index order and largest-first take turns of this many nodes,
 # index order first.
 _SLICE_NODES = 1024
-
-
-class _Stop(Exception):
-    """Unwinds a search that will not be resumed."""
 
 
 @dataclass(frozen=True)
@@ -319,8 +315,8 @@ def _order(visit, vcap, n, m_total, b, tail_topk, best_window, window_topk):
     "leave unassigned" dominance limits; u_min[p]/u_max[p]: the lowest and
     highest channel visited after depth p; margin, exchange and below: the
     dominance margin and the pairwise-exchange bitmasks; ssuf/mask_topk:
-    the subset tables. `_index_order` and `_race.largest_first` supply the
-    first three."""
+    the subset tables. `_index_order` and `_largest_first` supply the first
+    three."""
     last = m_total - 1
     position = [0] * m_total
     for p, m in enumerate(visit):
@@ -428,6 +424,65 @@ def _index_order(cap, n, m_total, b):
                   best_window, window_topk)
 
 
+def _largest_first(cap, n, m_total, b):
+    """Channels in descending order of their capacity summed over links
+    (stable on ties). The unvisited channels are scattered over the index,
+    so window top-k sums are gathered at the node from each link's
+    unvisited channels sorted by capacity: O(N·M²) tables."""
+    col_sums = [sequential_sum(cap[l][m] for l in range(n))
+                for m in range(m_total)]
+    visit = sorted(range(m_total), key=col_sums.__getitem__, reverse=True)
+    vcap = [[row[m] for m in visit] for row in cap]
+    last = m_total - 1
+    # ranked[l][p]: the channels at positions p..M-1, largest capacity
+    # first, and tail_topk[l][p] their running sums
+    tail_topk, ranked = [], []
+    for l in range(n):
+        desc, neg, chans = [], [], []
+        tops, ranks = [None] * m_total, [None] * m_total
+        for p in range(last, -1, -1):
+            c = vcap[l][p]
+            i = bisect.bisect_right(neg, -c)
+            neg.insert(i, -c)
+            desc.insert(i, c)
+            chans.insert(i, visit[p])
+            tops[p] = list(itertools.accumulate(desc, initial=0.0))
+            ranks[p] = chans[:]
+        tail_topk.append(tops)
+        ranked.append(ranks)
+    # best_window[l][p]: the best width-b window sum of the capacities at
+    # positions p..M-1, each window summed from position M-1 down
+    starts = m_total - b + 1
+    best_window = []
+    for row in vcap:
+        wins = [0.0] * starts
+        best = [0.0] * (m_total + 1)
+        for p in range(last, -1, -1):
+            m = visit[p]
+            for s in range(max(0, m - b + 1), min(m, starts - 1) + 1):
+                wins[s] += row[p]
+            best[p] = max(wins)
+        best_window.append(best)
+    first, final = _unvisited_range(visit)
+
+    def window_topk(l, idx, a, e, k):
+        if a <= first[idx] and final[idx] <= e:
+            return tail_topk[l][idx]
+        row = cap[l]
+        cums = [0.0]
+        total = 0.0
+        for m in ranked[l][idx]:
+            if a <= m <= e:
+                total += row[m]
+                cums.append(total)
+                if len(cums) > k:
+                    break
+        return cums
+
+    return _order(visit, vcap, n, m_total, b, tail_topk, best_window,
+                  window_topk)
+
+
 # ---------------------------------------------------------------------------
 # The search
 # ---------------------------------------------------------------------------
@@ -484,9 +539,10 @@ def solve(inst: ProblemInstance, *,
     nodes = 0
     stop_at = node_budget
 
-    def search(t, pause):
+    def search(t):
         """One complete DFS over the tables t of a visit order, sharing the
-        incumbent; calls pause() whenever the node count passes stop_at."""
+        incumbent, as a generator that yields whenever the node count passes
+        stop_at."""
         # owner[p] is the owner of channel visit[p]; [lo, hi] is the range
         # of channel numbers a link holds (lo = M, hi = -1 while it holds none)
         owner = [-1] * m_total
@@ -524,7 +580,7 @@ def solve(inst: ProblemInstance, *,
                 return
             nodes += 1
             if nodes > stop_at:
-                pause()
+                yield
             inc = best_value
             remaining = m_total - idx
             # bound sums reorder the additions that produced the incumbent,
@@ -704,7 +760,7 @@ def solve(inst: ProblemInstance, *,
                 hi[l] = new_hi
                 cnt[l] += 1
                 held[l] = old_held | 1 << idx
-                dfs(idx + 1)
+                yield from dfs(idx + 1)
                 rate[l] = old_rate
                 lo[l] = lo_l
                 hi[l] = hi_l
@@ -712,48 +768,33 @@ def solve(inst: ProblemInstance, *,
                 held[l] = old_held
             owner[idx] = -1
             if not none_dominated:
-                dfs(idx + 1)
+                yield from dfs(idx + 1)
 
-        dfs(0)
+        return dfs(0)
 
     # at b >= M no window binds and largest-first alone is fast; below it
     # neither order wins everywhere, so index order and largest-first take
-    # turns, index order first, until one of them completes
-    proven = False
-    rival = None
+    # turns, index order first, until one of them completes or the budget
+    # is spent
     turn = max(_SLICE_NODES, 1)
-
-    def take_turns():
-        """Index order's turn is over: largest-first gets one, then index
-        order goes on where it stopped."""
-        nonlocal stop_at, rival, proven
-        if nodes > node_budget:
-            raise _Stop
-        if rival is None:
-            from . import _race
-            rival = _race.Coroutine(lambda pause: search(
-                _race.largest_first(cap, n, m_total, b), pause))
-        stop_at = min(nodes + turn, node_budget)
-        if not rival.resume():
+    if b >= m_total:
+        running = search(_largest_first(cap, n, m_total, b))
+    else:
+        running = search(_index_order(cap, n, m_total, b))
+        stop_at = min(turn, node_budget)
+    waiting = None
+    proven = False
+    while True:
+        try:
+            next(running)
+        except StopIteration:
             proven = True
-            raise _Stop
+            break
         if nodes > node_budget:
-            raise _Stop
+            break
+        if waiting is None:
+            waiting = search(_largest_first(cap, n, m_total, b))
+        running, waiting = waiting, running
         stop_at = min(nodes + turn, node_budget)
-
-    try:
-        if b >= m_total:
-            # the one search pauses only once the budget is spent
-            from ._race import largest_first
-            search(largest_first(cap, n, m_total, b), take_turns)
-        else:
-            stop_at = min(turn, node_budget)
-            search(_index_order(cap, n, m_total, b), take_turns)
-        proven = True
-    except _Stop:
-        pass
-    finally:
-        if rival is not None:
-            rival.close()
 
     return _result(inst, best_owner, proven, nodes, t_start)

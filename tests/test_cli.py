@@ -78,6 +78,25 @@ def test_solve_malformed_config(tmp_path):
     bad.write_bytes(b"\xff{}")                 # not UTF-8
     assert _run("solve", "--config", str(bad), "--out-dir", str(out)) == 2
     assert not out.exists()
+    # values of the wrong type
+    for key, value in [("links", 5), ("distance", "far"), ("tx", 5),
+                       ("num_channels", "x"), ("db_above_noise", "abc"),
+                       ("subcarriers_per_channel", "4")]:
+        cfg = scenario_to_dict(GRID4X12)
+        if key == "distance":
+            cfg["links"][0]["distance"] = value
+        elif key == "tx":
+            cfg["links"][0] = {"id": "L1", "tx": value, "rx": [0, 1]}
+        elif key == "db_above_noise":
+            cfg["interferers"][0][key] = value
+        else:
+            cfg[key] = value
+        bad.write_text(json.dumps(cfg))
+        for cmd in (["solve"], ["sweep", "--b-list", "4"],
+                    ["realloc", "--new-interferers", "A"]):
+            assert _run(*cmd, "--config", str(bad),
+                        "--out-dir", str(out)) == 2, (key, cmd[0])
+            assert not out.exists()
 
 
 def test_solve_missing_config(tmp_path):
@@ -359,4 +378,16 @@ def test_guardband_rejects_non_utf8_csv(tmp_path, capsys):
     assert _run("guardband", "--allocation", str(alloc), "--rates", str(rates),
                 "--out-dir", str(out)) == 2
     assert f"{rates}: not valid UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_guardband_rejects_csv_without_channel_columns(tmp_path, capsys):
+    alloc = tmp_path / "a.csv"
+    rates = tmp_path / "r.csv"
+    alloc.write_text("link\nL1\n")
+    rates.write_text("link\nL1\n")
+    out = tmp_path / "o"
+    assert _run("guardband", "--allocation", str(alloc), "--rates", str(rates),
+                "--out-dir", str(out)) == 2
+    assert f"{alloc}: no channel columns" in capsys.readouterr().err
     assert not out.exists()

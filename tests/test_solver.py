@@ -13,7 +13,7 @@ from ncofdm_alloc.model import (
     evaluate_rates,
     rng_streams,
 )
-from ncofdm_alloc import _race, solver
+from ncofdm_alloc import solver
 from ncofdm_alloc.oracle import brute_force
 from ncofdm_alloc.scenario import GRID4X12, instance_from_gains, realize_gains
 from ncofdm_alloc.solver import (
@@ -331,14 +331,25 @@ def test_grid_race_overhead_where_index_order_wins():
     assert res.nodes_explored <= 4 * 1399
 
 
-def test_race_budget_exhaustion_leaves_no_thread():
-    # the budget runs out while index order and largest-first take turns
+# nodes of the full solves: at b = 8 index order and largest-first take
+# turns, at b = 12 largest-first runs alone
+_FULL_NODES = {8: 4079, 12: 1196}
+
+
+@pytest.mark.parametrize("b", [8, 12])
+@pytest.mark.parametrize("budget", [0, 1, 1023, 1024, 1025, 3000])
+def test_race_budget_exhaustion_leaves_no_thread(budget, b):
+    # the budget runs out at the first node, around the end of the first
+    # turn, or while the two orders take turns; a budget above the full
+    # solve's nodes does not bind
     threads = threading.active_count()
-    inst = _grid_instance(0, {"A", "B", "C"}, 8)
-    res = solve(inst, node_budget=3000)
-    assert not res.proven_optimal
-    assert res.nodes_explored == 3001
+    inst = _grid_instance(0, {"A", "B", "C"}, b)
+    res = solve(inst, node_budget=budget)
+    full = _FULL_NODES[b]
+    assert res.proven_optimal == (budget >= full)
+    assert res.nodes_explored == min(budget + 1, full)
     assert verify_solution(inst, res)
+    assert res.maxmin.hex() == "0x1.11c8762526ec0p+22"
     assert threading.active_count() == threads
 
 
@@ -367,7 +378,7 @@ def test_race_error_in_a_turn_reaches_the_caller(monkeypatch):
     def broken(*args):
         raise RuntimeError("table build failed")
 
-    monkeypatch.setattr(_race, "largest_first", broken)
+    monkeypatch.setattr(solver, "_largest_first", broken)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="table build failed"):
         solve(_grid_instance(0, {"A", "B", "C"}, 8))
