@@ -73,6 +73,8 @@ _REQUIRED_KEYS = {
     "links", "num_channels", "channel_bandwidth", "temperature",
     "tx_power_per_channel", "span_bound", "rng_seed",
 }
+_INTEGER_KEYS = {"num_channels", "span_bound", "rng_seed",
+                 "subcarriers_per_channel"}
 _LINK_KEYS = {"id", "tx", "rx", "distance"}
 _INTERFERER_KEYS = {"name", "channels", "db_above_noise"}
 
@@ -98,6 +100,31 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ValidationError(f"invalid config: {exc}") from exc
 
 
+def _list(value, key):
+    """A config value that must be a JSON array."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _integer(value, key):
+    """A config value that must be an integer: a JSON number without a
+    fractional part, and not a boolean."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, key):
+    """A config value that must be a real number: a JSON number, and not a
+    boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _config_from_dict(data):
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
@@ -109,7 +136,7 @@ def _config_from_dict(data):
         raise ValidationError(f"missing config keys: {sorted(missing)}")
 
     links = []
-    for i, entry in enumerate(data["links"]):
+    for i, entry in enumerate(_list(data["links"], "links")):
         if not isinstance(entry, dict):
             raise ValidationError("each link must be an object")
         unknown = set(entry) - _LINK_KEYS
@@ -118,15 +145,17 @@ def _config_from_dict(data):
                 f"link {i}: unknown keys {sorted(unknown)}")
         if "id" not in entry:
             raise ValidationError(f"link {i}: missing id")
-        links.append(LinkSpec(
-            id=str(entry["id"]),
-            tx=tuple(entry["tx"]) if "tx" in entry else None,
-            rx=tuple(entry["rx"]) if "rx" in entry else None,
-            distance=entry.get("distance"),
-        ))
+        coords = {key: tuple(_number(v, f"link {i}: {key}")
+                             for v in _list(entry[key], f"link {i}: {key}"))
+                  for key in ("tx", "rx") if key in entry}
+        if "distance" in entry:
+            coords["distance"] = _number(entry["distance"],
+                                         f"link {i}: distance")
+        links.append(LinkSpec(id=str(entry["id"]), **coords))
 
     interferers = []
-    for i, entry in enumerate(data.get("interferers", [])):
+    for i, entry in enumerate(_list(data.get("interferers", []),
+                                    "interferers")):
         if not isinstance(entry, dict):
             raise ValidationError("each interferer must be an object")
         unknown = set(entry) - _INTERFERER_KEYS
@@ -139,25 +168,19 @@ def _config_from_dict(data):
                 f"interferer {i}: missing keys {sorted(missing)}")
         interferers.append(InterfererSpec(
             name=str(entry["name"]),
-            channels=tuple(int(c) for c in entry["channels"]),
-            db_above_noise=float(entry["db_above_noise"]),
+            channels=tuple(_integer(c, f"interferer {i}: channels")
+                           for c in _list(entry["channels"],
+                                          f"interferer {i}: channels")),
+            db_above_noise=_number(entry["db_above_noise"],
+                                   f"interferer {i}: db_above_noise"),
         ))
 
-    kwargs = {}
-    for key in ("subcarriers_per_channel", "center_frequency", "rician_k_db"):
-        if key in data:
-            kwargs[key] = data[key]
-    return ScenarioConfig(
-        links=tuple(links),
-        num_channels=int(data["num_channels"]),
-        channel_bandwidth=float(data["channel_bandwidth"]),
-        temperature=float(data["temperature"]),
-        tx_power_per_channel=float(data["tx_power_per_channel"]),
-        span_bound=int(data["span_bound"]),
-        rng_seed=int(data["rng_seed"]),
-        interferers=tuple(interferers),
-        **kwargs,
-    )
+    values = {}
+    for key in sorted(set(data) - {"links", "interferers"}):
+        check = _integer if key in _INTEGER_KEYS else _number
+        values[key] = check(data[key], key)
+    return ScenarioConfig(links=tuple(links), interferers=tuple(interferers),
+                          **values)
 
 
 def read_scenario(path) -> tuple[ScenarioConfig, bytes]:
@@ -382,7 +405,10 @@ def _sweep_one(task):
     shares its value (feasible there, and the optimum is monotone in b).
     The other bounds are solved in ascending order, each warm-started from
     the previous allocation; after a budget-truncated top solve that is
-    every bound."""
+    every bound. Once a solve reaches the proven top value, the curve has
+    reached its ceiling and every larger bound shares that value unsolved.
+    Skipping those solves changes no value; it can turn the proven flag
+    from False to True only where a node budget cut one of them short."""
     cfg, b_values, active, gen, node_budget = task
     gains = realize_gains(cfg, gen)
     inst = instance_from_gains(cfg, gains, active)
@@ -399,6 +425,8 @@ def _sweep_one(task):
         prev = res.allocation
         proven = proven and res.proven_optimal
         row.append(res.maxmin)
+        if top.proven_optimal and res.maxmin == top.maxmin:
+            span_star = b
     for v1, v2 in zip(row, row[1:]):
         if v2 < v1:
             raise RuntimeError("per-realization curve decreased; solver bug")

@@ -23,18 +23,30 @@ Two visit orders are used. Index order is fast on some inputs; largest-
 first, descending capacity summed over links (stable on ties), is the
 classic remedy for number partitioning (Korf, AIJ 1998 and IJCAI 2009),
 which the problem becomes when many near-equal interfered channels must
-be shared. Neither wins everywhere below b = M, so the two race in node
-slices (an algorithm portfolio, Gomes & Selman, AIJ 2001). Index order
-first searches `_SLICE_NODES` nodes alone; a solve it settles there
-builds no largest-first table. Otherwise index order and a largest-first
-search take turns of `_SLICE_NODES` nodes, each resumed where its last
-turn ended and sharing the best allocation found so far, until one
-completes; it proves the result. Each search is a generator that yields
-when its turn is over, so both run in the caller's thread, one at a time,
-and the turns and node counts are deterministic.
-`node_budget` caps the nodes of all turns together. Where one order is
-much faster, the race costs up to about twice its nodes, plus one turn.
-At b >= M no window binds and largest-first runs alone.
+be shared. Neither wins everywhere below b = M, so the two race in turns
+of `_SLICE_NODES` nodes (an algorithm portfolio, Gomes & Selman, AIJ
+2001), each resumed where its last turn ended and sharing the best
+allocation found so far, until one completes; it proves the result. Each
+search is a generator that yields when its turn is over, so both run in
+the caller's thread, one at a time.
+
+A turn goes to the search that looks closer to done, by Knuth's estimate
+(Math. Comp. 1975) of the finished share d of its tree: the root weighs
+1, a node splits its weight evenly over the children it searches, and a
+leaf, a pruned node or a childless node finishes its own weight. A node
+lists its children before it searches the first, so d is read off the
+path when a turn ends. A search that has used u nodes has an estimated
+u (1 - d) / d left, infinitely many while d = 0. Index order runs first,
+alone while its estimate stays within `_LEAD` turns, so a solve it
+settles there builds no largest-first table. Otherwise a largest-first
+search joins and takes the next turn. From then on each turn goes to the
+search with fewer nodes left, but no search may get more than `_LEAD`
+times the other's nodes (at least one turn) ahead. The estimate reads
+only node counts and the search path, so the turns and node counts are
+deterministic. `node_budget` caps the nodes of all turns together. Where
+one order is much faster, the race costs up to about (`_LEAD` + 1) times
+its nodes, plus two turns. At b >= M no window binds and largest-first
+runs alone.
 
 The result is still exact and bit-identical whichever order finishes: a
 completed search has visited, or soundly pruned, every allocation that
@@ -139,7 +151,12 @@ _STACK_MARGIN = 200
 
 # Below b = M, index order and largest-first take turns of this many nodes,
 # index order first.
-_SLICE_NODES = 1024
+_SLICE_NODES = 256
+
+# Largest-first joins once index order's estimate of the nodes it has left
+# exceeds this many turns, and no search may get more than this many times
+# the other's nodes (at least one turn) ahead.
+_LEAD = 4
 
 
 @dataclass(frozen=True)
@@ -541,8 +558,8 @@ def solve(inst: ProblemInstance, *,
 
     def search(t):
         """One complete DFS over the tables t of a visit order, sharing the
-        incumbent, as a generator that yields whenever the node count passes
-        stop_at."""
+        incumbent, as a generator that yields the estimated finished share
+        of its tree whenever the node count passes stop_at."""
         # owner[p] is the owner of channel visit[p]; [lo, hi] is the range
         # of channel numbers a link holds (lo = M, hi = -1 while it holds none)
         owner = [-1] * m_total
@@ -558,10 +575,16 @@ def solve(inst: ProblemInstance, *,
         subset_items = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
                         for mask in t.mask_topk]
 
+        # kids[p]: the children of the node at depth p, in search order:
+        # the links it gives channel visit[p] to, then -1 if it also leaves
+        # the channel unassigned
+        kids = [None] * m_total
+
         def dfs(idx, rate=rate, lo=lo, hi=hi, cnt=cnt, held=held,
-                owner=owner, cap=t.vcap, cap_index=cap, visit=t.visit,
-                position=t.position, e_cache=e_cache, k_cache=k_cache,
-                slots_cache=slots_cache, tail_topk=t.tail_topk,
+                owner=owner, kids=kids, cap=t.vcap, cap_index=cap,
+                visit=t.visit, position=t.position, e_cache=e_cache,
+                k_cache=k_cache, slots_cache=slots_cache,
+                tail_topk=t.tail_topk,
                 best_window=t.best_window, window_topk=t.window_topk,
                 reach_pos=t.reach_pos, dom_lo=t.dom_lo, dom_hi=t.dom_hi,
                 u_min=t.u_min, u_max=t.u_max, exchange=t.exchange,
@@ -580,7 +603,7 @@ def solve(inst: ProblemInstance, *,
                 return
             nodes += 1
             if nodes > stop_at:
-                yield
+                yield idx
             inc = best_value
             remaining = m_total - idx
             # bound sums reorder the additions that produced the incumbent,
@@ -639,8 +662,9 @@ def solve(inst: ProblemInstance, *,
             # subset whose members all exceed the incumbent can never prune,
             # and mixed subsets are dominated by their needy core)
             if needy_mask and subset_items:
+                rich = ~needy_mask
                 for mask, members in subset_items:
-                    if mask & ~needy_mask:
+                    if mask & rich:
                         continue
                     rate_sum = 0.0
                     needed_s = 0
@@ -716,6 +740,7 @@ def solve(inst: ProblemInstance, *,
                     if m >= reach + b:
                         continue
                 swappable |= swaps
+            branch = []
             for l in sorted(range(n), key=rate.__getitem__):
                 lo_l = lo[l]
                 hi_l = hi[l]
@@ -750,14 +775,26 @@ def solve(inst: ProblemInstance, *,
                     if x_hi > m_total:
                         x_hi = m_total
                     swaps &= below[x_hi] ^ below[x_lo]
-                if swaps:
-                    continue
+                if not swaps:
+                    branch.append(l)
+            # the children are listed before the first is searched, so the
+            # finished share of the tree can be read off the path; -1
+            # leaves the channel unassigned
+            if not none_dominated:
+                branch.append(-1)
+            kids[idx] = branch
+            for l in branch:
+                owner[idx] = l
+                if l < 0:
+                    yield from dfs(idx + 1)
+                    break
+                lo_l = lo[l]
+                hi_l = hi[l]
                 old_rate = rate[l]
                 old_held = held[l]
-                owner[idx] = l
-                rate[l] = old_rate + c
-                lo[l] = new_lo
-                hi[l] = new_hi
+                rate[l] = old_rate + cap[l][idx]
+                lo[l] = m if m < lo_l else lo_l
+                hi[l] = m if m > hi_l else hi_l
                 cnt[l] += 1
                 held[l] = old_held | 1 << idx
                 yield from dfs(idx + 1)
@@ -766,35 +803,55 @@ def solve(inst: ProblemInstance, *,
                 hi[l] = hi_l
                 cnt[l] -= 1
                 held[l] = old_held
-            owner[idx] = -1
-            if not none_dominated:
-                yield from dfs(idx + 1)
 
-        return dfs(0)
+        try:
+            for depth in dfs(0):
+                # Knuth's estimate of the finished share of the tree: the
+                # root weighs 1, and each node splits its weight evenly over
+                # its children; the children left of the path are finished
+                done = 0.0
+                weight = 1.0
+                for p in range(depth):
+                    branch = kids[p]
+                    weight /= len(branch)
+                    done += weight * branch.index(owner[p])
+                yield done
+        finally:
+            # dfs refers to itself; breaking that cycle frees the search's
+            # state and tables when it ends, not at a later full collection
+            dfs = None
 
-    # at b >= M no window binds and largest-first alone is fast; below it
-    # neither order wins everywhere, so index order and largest-first take
-    # turns, index order first, until one of them completes or the budget
-    # is spent
+    # the race of the module docstring (largest-first alone at b >= M):
+    # used[i] nodes so far and left[i] estimated nodes to go, for index
+    # order (0) and largest-first (1)
     turn = max(_SLICE_NODES, 1)
     if b >= m_total:
-        running = search(_largest_first(cap, n, m_total, b))
+        runs = [search(_largest_first(cap, n, m_total, b))]
     else:
-        running = search(_index_order(cap, n, m_total, b))
-        stop_at = min(turn, node_budget)
-    waiting = None
+        runs = [search(_index_order(cap, n, m_total, b))]
+    used = [0, 0]
+    left = [math.inf, math.inf]
+    i = 0
     proven = False
     while True:
+        start = nodes
+        stop_at = min(start + turn, node_budget)
         try:
-            next(running)
+            done = next(runs[i])
         except StopIteration:
             proven = True
             break
         if nodes > node_budget:
             break
-        if waiting is None:
-            waiting = search(_largest_first(cap, n, m_total, b))
-        running, waiting = waiting, running
-        stop_at = min(nodes + turn, node_budget)
+        used[i] += nodes - start
+        left[i] = used[i] * (1.0 - done) / done if done > 0.0 else math.inf
+        if len(runs) == 1:
+            if b < m_total and left[0] > _LEAD * turn:
+                runs.append(search(_largest_first(cap, n, m_total, b)))
+                i = 1
+            continue
+        i = 0 if left[0] <= left[1] else 1
+        if used[i] >= _LEAD * max(used[1 - i], turn):
+            i = 1 - i
 
     return _result(inst, best_owner, proven, nodes, t_start)

@@ -68,7 +68,7 @@ def test_solve_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_solve_malformed_config(tmp_path):
+def test_solve_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nonsense": True}))
     out = tmp_path / "badout"
@@ -78,16 +78,20 @@ def test_solve_malformed_config(tmp_path):
     bad.write_bytes(b"\xff{}")                 # not UTF-8
     assert _run("solve", "--config", str(bad), "--out-dir", str(out)) == 2
     assert not out.exists()
-    # values of the wrong type
+    # values of the wrong type, and booleans or fractions where a number
+    # belongs, which must not be truncated; the error names the key
     for key, value in [("links", 5), ("distance", "far"), ("tx", 5),
                        ("num_channels", "x"), ("db_above_noise", "abc"),
-                       ("subcarriers_per_channel", "4")]:
+                       ("subcarriers_per_channel", "4"),
+                       ("num_channels", 12.7), ("span_bound", 4.9),
+                       ("channels", [1.9, 2, 3]), ("rng_seed", True),
+                       ("temperature", True), ("db_above_noise", False)]:
         cfg = scenario_to_dict(GRID4X12)
         if key == "distance":
             cfg["links"][0]["distance"] = value
         elif key == "tx":
             cfg["links"][0] = {"id": "L1", "tx": value, "rx": [0, 1]}
-        elif key == "db_above_noise":
+        elif key in ("db_above_noise", "channels"):
             cfg["interferers"][0][key] = value
         else:
             cfg[key] = value
@@ -96,6 +100,7 @@ def test_solve_malformed_config(tmp_path):
                     ["realloc", "--new-interferers", "A"]):
             assert _run(*cmd, "--config", str(bad),
                         "--out-dir", str(out)) == 2, (key, cmd[0])
+            assert key in capsys.readouterr().err, (key, cmd[0])
             assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from ncofdm_alloc.model import (
     path_loss_gain,
     rng_streams,
 )
+from ncofdm_alloc import scenario
 from ncofdm_alloc.oracle import brute_force
 from ncofdm_alloc.scenario import (
     GRID4X12,
@@ -241,6 +242,30 @@ def test_sweep_truncated_resolves_every_bound():
         assert list(row) == expected
 
 
+def test_sweep_stops_at_its_ceiling(monkeypatch):
+    # this draw's b = 3 optimum already equals the proven b = 12 optimum, so
+    # the curve is flat from b = 3 and no larger bound needs its own solve
+    cfg = builtin_scenario("grid4x12")
+    active = {"A", "B", "C"}
+    b_values = range(3, 13)
+    solved = []
+
+    def counting_solve(inst, **kwargs):
+        solved.append(inst.span_bound)
+        return solve(inst, **kwargs)
+
+    monkeypatch.setattr(scenario, "solve", counting_solve)
+    curve = sweep(cfg, b_values, realizations=1,
+                  rng=np.random.default_rng((1000, 0)),
+                  active_interferers=active)
+    assert solved == [12, 3]
+    assert curve.all_proven
+    gen, = rng_streams(np.random.default_rng((1000, 0)), 1)
+    inst = instance_from_gains(cfg, realize_gains(cfg, gen), active)
+    expected = [solve(inst.with_span_bound(b)).maxmin for b in b_values]
+    assert list(curve.values[0]) == expected
+
+
 def test_sweep_workers_match_serial():
     cfg = builtin_scenario("grid4x12")
     serial = sweep(cfg, [3, 4], realizations=2, rng=42,
@@ -301,6 +326,15 @@ def test_scenario_from_dict_rejects_missing_keys():
     del data["span_bound"]
     with pytest.raises(ValidationError):
         scenario_from_dict(data)
+
+
+def test_scenario_from_dict_takes_integral_floats():
+    # a fraction where an integer belongs is an error, but a JSON number
+    # with a zero fraction is that integer
+    data = scenario_to_dict(GRID4X12)
+    data["num_channels"] = 12.0
+    data["interferers"][0]["channels"] = [1.0, 2, 3]
+    assert scenario_from_dict(data) == GRID4X12
 
 
 def test_load_scenario_file(tmp_path):

@@ -315,14 +315,17 @@ def test_grid_below_m_allocation_pinned(entry, b):
     assert res.allocation.owner_vector() == owners
     assert res.maxmin.hex() == maxmin
     if b == 8:
-        # index order alone needs ~85k nodes here, the race 3k to 8k, and
-        # 3k to 4k with the pairwise-exchange rule
+        # index order alone needs ~85k nodes here, the race 3k to 8k, 3k to
+        # 4k with the pairwise-exchange rule (strict turns of 1,024 nodes),
+        # and 1.6k to 2.5k when the turn goes to the search closer to done
         assert res.nodes_explored <= 20_000
 
 
 def test_grid_race_overhead_where_index_order_wins():
-    # with interferer A alone index order proves b = 8 in 1,399 nodes and
-    # largest-first needs ~8e4; the race may spend at most 4x the former
+    # with interferer A alone index order proved b = 8 in 1,399 nodes (789
+    # with the pairwise-exchange rule) and largest-first needed ~8e4; the
+    # race may spend at most 4x the former (1,046 nodes when the turn goes
+    # to the search closer to done)
     res = solve(_grid_instance(5, {"A"}, 8))
     assert res.proven_optimal
     assert res.allocation.owner_vector() == [3, 2, 0, 2, 3, 0, 3, 1, 2, 0,
@@ -333,11 +336,12 @@ def test_grid_race_overhead_where_index_order_wins():
 
 # nodes of the full solves: at b = 8 index order and largest-first take
 # turns, at b = 12 largest-first runs alone
-_FULL_NODES = {8: 4079, 12: 1196}
+_FULL_NODES = {8: 2543, 12: 1196}
 
 
 @pytest.mark.parametrize("b", [8, 12])
-@pytest.mark.parametrize("budget", [0, 1, 1023, 1024, 1025, 3000])
+@pytest.mark.parametrize("budget",
+                         [0, 1, 255, 256, 257, 1023, 1024, 1025, 3000])
 def test_race_budget_exhaustion_leaves_no_thread(budget, b):
     # the budget runs out at the first node, around the end of the first
     # turn, or while the two orders take turns; a budget above the full
@@ -351,6 +355,24 @@ def test_race_budget_exhaustion_leaves_no_thread(budget, b):
     assert verify_solution(inst, res)
     assert res.maxmin.hex() == "0x1.11c8762526ec0p+22"
     assert threading.active_count() == threads
+
+
+# entries 0, 3 and 10 at b = 5, 7 and 9, per interference environment: the
+# total nodes, recorded when each turn first went to the search closer to
+# done; the race must not need more
+_ENVIRONMENT_NODES = {"A,B,C": 16_647, "C": 66_469, "A": 6_203, "none": 11_334}
+
+
+@pytest.mark.parametrize("env", sorted(_ENVIRONMENT_NODES))
+def test_race_node_ceiling_per_environment(env):
+    active = set(env.split(",")) - {"none"}
+    total = 0
+    for entry in (0, 3, 10):
+        for b in (5, 7, 9):
+            res = solve(_grid_instance(entry, active, b))
+            assert res.proven_optimal
+            total += res.nodes_explored
+    assert total <= _ENVIRONMENT_NODES[env]
 
 
 def test_race_is_deterministic_under_thread_switching(monkeypatch):
