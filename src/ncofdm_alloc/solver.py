@@ -28,7 +28,9 @@ of `_SLICE_NODES` nodes (an algorithm portfolio, Gomes & Selman, AIJ
 2001), each resumed where its last turn ended and sharing the best
 allocation found so far, until one completes; it proves the result. Each
 search is a generator that yields when its turn is over, so both run in
-the caller's thread, one at a time.
+the caller's thread, one at a time. Largest-first gathers a link's window
+top-k sums from its unvisited channels and keeps each gathered list for
+the later nodes that ask for the same window (see `_largest_first`).
 
 A turn goes to the search that looks closer to done, by Knuth's estimate
 (Math. Comp. 1975) of the finished share d of its tree: the root weighs
@@ -72,6 +74,18 @@ A subtree is pruned only when a value bound falls below the incumbent by
 more than a relative slack of 1e-12. Bounds add capacities in another
 order than the leaves, so a leaf can exceed its subtree's bound by an
 ulp, and a subtree whose bound only ties the incumbent is searched.
+
+A subset average is evaluated in full only when a cheap pre-test fails.
+The subset's capacity bound is at least each member's gain (the per-link
+bound less the link's rate): its suffix-sum segments cover every position
+the member reaches with the member in their mask, and its top-k cap takes
+at least as many per-channel maxima as the member has slots. So when the
+members' rates plus the largest gain reach the subset's size times the
+pruning threshold (the incumbent less the slack), plus the margin of the
+dominance rules below, the average cannot prune: that margin lies far
+above the rounding of these sums, at most about M ulps of the total
+capacity. The pre-test clears only subsets that could never have pruned,
+so every prune, and every node count, is as without it.
 
 Two dominance rules are applied on top. Each skips a branch only when
 every completion of it is beaten, under `_beats`, by a feasible
@@ -326,14 +340,14 @@ def _order(visit, vcap, n, m_total, b, tail_topk, best_window, window_topk):
 
     tail_topk[l][p][j]: sum of the j largest of link l's unvisited
     capacities; best_window[l][p]: the best sum of unvisited capacities in
-    one width-b window; window_topk(l, p, a, e, k): the j-largest sums, j up
-    to k, of the unvisited capacities in channels a..e; reach_pos[e]: the
-    last position of a channel numbered at most e; dom_lo[p]/dom_hi[p]: the
-    "leave unassigned" dominance limits; u_min[p]/u_max[p]: the lowest and
-    highest channel visited after depth p; margin, exchange and below: the
-    dominance margin and the pairwise-exchange bitmasks; ssuf/mask_topk:
-    the subset tables. `_index_order` and `_largest_first` supply the first
-    three."""
+    one width-b window; window_topk(l, p, a, e): the sums of the j largest
+    unvisited capacities in channels a..e, for j = 0 up to their number or
+    at least up to b; reach_pos[e]: the last position of a channel numbered
+    at most e; dom_lo[p]/dom_hi[p]: the "leave unassigned" dominance
+    limits; u_min[p]/u_max[p]: the lowest and highest channel visited after
+    depth p; margin, exchange and below: the dominance margin and the
+    pairwise-exchange bitmasks; ssuf/mask_topk: the subset tables.
+    `_index_order` and `_largest_first` supply the first three."""
     last = m_total - 1
     position = [0] * m_total
     for p, m in enumerate(visit):
@@ -434,7 +448,7 @@ def _index_order(cap, n, m_total, b):
     tail_topk = [[per_e[last] for per_e in per_i] for per_i in win_topk]
     empty = (0.0,)
 
-    def window_topk(l, idx, a, e, k):
+    def window_topk(l, idx, a, e):
         return win_topk[l][idx][e] if e >= idx else empty
 
     return _order(list(range(m_total)), cap, n, m_total, b, tail_topk,
@@ -444,8 +458,12 @@ def _index_order(cap, n, m_total, b):
 def _largest_first(cap, n, m_total, b):
     """Channels in descending order of their capacity summed over links
     (stable on ties). The unvisited channels are scattered over the index,
-    so window top-k sums are gathered at the node from each link's
-    unvisited channels sorted by capacity: O(N·M²) tables."""
+    so window top-k sums are gathered from each link's unvisited channels
+    sorted by capacity: O(N·M²) tables. A gathered list is kept for every
+    later node that asks for the same (link, depth, window); an anchored
+    link's window is set by its range [lo, hi], one of at most M·b, so the
+    memo holds at most N·M²·b lists of at most b + 1 sums. It belongs to
+    these tables, so it lives as long as the one search that reads them."""
     col_sums = [sequential_sum(cap[l][m] for l in range(n))
                 for m in range(m_total)]
     visit = sorted(range(m_total), key=col_sums.__getitem__, reverse=True)
@@ -481,19 +499,23 @@ def _largest_first(cap, n, m_total, b):
             best[p] = max(wins)
         best_window.append(best)
     first, final = _unvisited_range(visit)
+    memo = {}
 
-    def window_topk(l, idx, a, e, k):
+    def window_topk(l, idx, a, e):
         if a <= first[idx] and final[idx] <= e:
             return tail_topk[l][idx]
-        row = cap[l]
-        cums = [0.0]
-        total = 0.0
-        for m in ranked[l][idx]:
-            if a <= m <= e:
-                total += row[m]
-                cums.append(total)
-                if len(cums) > k:
-                    break
+        key = (l, idx, a, e)
+        cums = memo.get(key)
+        if cums is None:
+            row = cap[l]
+            cums = memo[key] = [0.0]
+            total = 0.0
+            for m in ranked[l][idx]:
+                if a <= m <= e:
+                    total += row[m]
+                    cums.append(total)
+                    if len(cums) > b:
+                        break
         return cums
 
     return _order(visit, vcap, n, m_total, b, tail_topk, best_window,
@@ -572,8 +594,14 @@ def solve(inst: ProblemInstance, *,
         e_cache = [0] * n
         k_cache = [0] * n
         slots_cache = [0] * n
-        subset_items = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
-                        for mask in t.mask_topk]
+        gain_cache = [0.0] * n
+        # subsets_of[needy]: the subsets with a subset bound whose members
+        # are all needy, with their members and size
+        subsets = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
+                   for mask in t.mask_topk]
+        subsets_of = [[(mask, members, len(members))
+                       for mask, members in subsets if mask & needy == mask]
+                      for needy in range(1 << n)] if subsets else []
 
         # kids[p]: the children of the node at depth p, in search order:
         # the links it gives channel visit[p] to, then -1 if it also leaves
@@ -584,14 +612,13 @@ def solve(inst: ProblemInstance, *,
                 owner=owner, kids=kids, cap=t.vcap, cap_index=cap,
                 visit=t.visit, position=t.position, e_cache=e_cache,
                 k_cache=k_cache, slots_cache=slots_cache,
-                tail_topk=t.tail_topk,
+                gain_cache=gain_cache, tail_topk=t.tail_topk,
                 best_window=t.best_window, window_topk=t.window_topk,
                 reach_pos=t.reach_pos, dom_lo=t.dom_lo, dom_hi=t.dom_hi,
                 u_min=t.u_min, u_max=t.u_max, exchange=t.exchange,
-                margin=t.margin,
-                below=t.below, subset_items=subset_items,
+                margin=t.margin, below=t.below, subsets_of=subsets_of,
                 ssuf=t.ssuf, mask_topk=t.mask_topk, b=b, n=n, m_total=m_total,
-                last=last):
+                last=last, bisect_left=bisect.bisect_left):
             nonlocal nodes, best_owner, best_value, best_total
             if idx == m_total:
                 owners = [owner[p] for p in position]
@@ -624,7 +651,7 @@ def solve(inst: ProblemInstance, *,
                         e = last
                     e_cache[l] = reach_pos[e]
                     free = b - cnt[l]
-                    topk = window_topk(l, idx, hi[l] - b + 1, e, free)
+                    topk = window_topk(l, idx, hi[l] - b + 1, e)
                     slots = len(topk) - 1
                     if slots > free:
                         slots = free
@@ -638,14 +665,14 @@ def solve(inst: ProblemInstance, *,
                     if bw < gain:
                         gain = bw
                 slots_cache[l] = slots
+                gain_cache[l] = gain
                 if r_l + gain < dead:
                     return
                 if r_l <= inc:
                     deficit = inc - r_l - slack
                     if deficit > 0.0:
-                        j = 1
-                        while j <= slots and topk[j] < deficit:
-                            j += 1
+                        # topk is nondecreasing: capacities are >= 0
+                        j = bisect_left(topk, deficit, 1, slots + 1)
                         if j > slots:
                             return
                         needed += j
@@ -661,24 +688,34 @@ def solve(inst: ProblemInstance, *,
             # subset averages and subset counting, over needy links only (a
             # subset whose members all exceed the incumbent can never prune,
             # and mixed subsets are dominated by their needy core)
-            if needy_mask and subset_items:
-                rich = ~needy_mask
-                for mask, members in subset_items:
-                    if mask & rich:
-                        continue
+            if needy_mask and subsets_of:
+                for mask, members, size in subsets_of[needy_mask]:
                     rate_sum = 0.0
                     needed_s = 0
                     slots_s = 0
+                    e_max = -1
+                    g_max = 0.0
                     for l in members:
                         rate_sum += rate[l]
                         needed_s += k_cache[l]
                         slots_s += slots_cache[l]
-                    ordered = sorted(members, key=e_cache.__getitem__)
-                    reach = e_cache[ordered[-1]] - idx + 1
+                        e = e_cache[l]
+                        if e > e_max:
+                            e_max = e
+                        gain = gain_cache[l]
+                        if gain > g_max:
+                            g_max = gain
+                    reach = e_max - idx + 1
                     if reach < 0:
                         reach = 0
                     if needed_s > (reach if reach < slots_s else slots_s):
                         return
+                    # the subset's capacity bound is at least any member's
+                    # gain, so this average cannot fall below dead (see the
+                    # module docstring)
+                    if rate_sum + g_max >= size * dead + margin:
+                        continue
+                    ordered = sorted(members, key=e_cache.__getitem__)
                     cur_mask = mask
                     start = idx
                     cap_sum = 0.0
@@ -697,7 +734,7 @@ def solve(inst: ProblemInstance, *,
                         capped = topk_s[cards]
                         if capped < cap_sum:
                             cap_sum = capped
-                    if (rate_sum + cap_sum) / len(members) < dead:
+                    if (rate_sum + cap_sum) / size < dead:
                         return
 
             # branch: poorest link first (stable sort keeps index order on

@@ -375,6 +375,61 @@ def test_race_node_ceiling_per_environment(env):
     assert total <= _ENVIRONMENT_NODES[env]
 
 
+# ---------------------------------------------------------------------------
+# subset bounds: the pre-test clears only subsets whose full evaluation could
+# not prune, so node counts stay as recorded before it existed
+# ---------------------------------------------------------------------------
+
+# per link count n, the nodes of a uniform and of a near-equal draw on 12
+# channels at b = 3, 5, 7 and 12 (every one of the 26 and 57 subsets of two
+# or more links has a bound)
+_SUBSET_NODES = {
+    (5, "uniform"): [640, 1258, 2295, 499],
+    (5, "near-equal"): [1140, 13249, 4363, 7922],
+    (6, "uniform"): [205, 1621, 1083, 1484],
+    (6, "near-equal"): [2081, 4580, 6127, 10254],
+}
+
+
+@pytest.mark.parametrize("n, kind", sorted(_SUBSET_NODES))
+def test_subset_bound_node_counts_pinned(n, kind):
+    rng = np.random.default_rng(n)
+    draws = {"uniform": rng.uniform(0, 1, size=(n, 12)),
+             "near-equal": 1 + rng.integers(0, 4, size=(n, 12)) * 1e-6}
+    nodes = [solve(_instance(draws[kind], b)).nodes_explored
+             for b in (3, 5, 7, 12)]
+    assert nodes == _SUBSET_NODES[n, kind]
+
+
+def test_subset_bound_pruned_by_rounding_stays_pruned():
+    # with link 1 at rate 1 and link 0 at 1 - t, channel 2's t lifts the
+    # pair's average to the incumbent 1, but the pair's bound takes t from
+    # the suffix sums (t + 2^40) - 2^40 = 0, falls below dead and prunes;
+    # a pre-test without the margin would clear the pair on link 0's gain t
+    t = 2.0 ** -20
+    cap = [[0, 1 - t, t, 0, 2.0 ** 40], [1, 0, 0, 0, 0]]
+    warm = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
+    res = solve(_instance(cap, 2), warm_start=warm)
+    assert res.allocation.owner_vector() == [1, -1, -1, -1, 0]
+    assert res.nodes_explored == 15
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_subset_bounds_match_oracle(n, slice_nodes):
+    rng = np.random.default_rng(900 + n)
+    for case in range(30):
+        m = int(rng.integers(3, 7))
+        kind = case % 3
+        if kind == 0:
+            cap = rng.uniform(0, 1, size=(n, m))
+        elif kind == 1:
+            cap = 1 + rng.integers(0, 4, size=(n, m)) * 1e-6
+        else:
+            cap = (rng.uniform(0, 1, size=(n, m))
+                   * 10.0 ** rng.integers(-25, 1, size=(n, m)))
+        _assert_matches_oracle(_instance(cap, int(rng.integers(1, m + 1))))
+
+
 def test_race_is_deterministic_under_thread_switching(monkeypatch):
     # the two searches share the incumbent and the node count; they must
     # hand over strictly, whatever the interpreter's thread switching, and
