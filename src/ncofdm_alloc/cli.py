@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -315,6 +316,7 @@ def _add_config_options(sub):
                      help="require ceil(M/N) <= b <= M")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncofdm-alloc",
@@ -366,6 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    The parser is built once per process, on the first call, and reused by
+    every later in-process call: parsing does not change it, and the
+    commands it dispatches to are module functions."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:

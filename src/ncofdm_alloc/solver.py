@@ -87,6 +87,19 @@ above the rounding of these sums, at most about M ulps of the total
 capacity. The pre-test clears only subsets that could never have pruned,
 so every prune, and every node count, is as without it.
 
+Per-link bounds are computed only for links at or below the incumbent. A
+link above it cannot prune by its own bound, which is its rate plus a
+gain >= 0 and so above the pruning threshold, and the subset bounds visit
+only subsets of the needy links (those at or below the incumbent), so
+nothing reads its bound. Skipping it changes no prune.
+
+The first incumbent is the best, under `_beats`, of a few candidates: the
+equal contiguous blocks dealt to the links in every order (for up to six
+links), a greedy fill, the empty allocation and any warm start. A block
+candidate is scored from each link's block sums, each summed from 0.0 in
+channel order as a leaf's rates are, so its (maxmin, total) are the
+canonical ones, and its owner vector is built only to break a tie.
+
 Two dominance rules are applied on top. Each skips a branch only when
 every completion of it is beaten, under `_beats`, by a feasible
 allocation elsewhere; the unique best allocation is beaten by none, so no
@@ -261,23 +274,38 @@ def _result(inst, owners, proven, nodes, t_start) -> SolveResult:
 # Warm-start heuristics
 # ---------------------------------------------------------------------------
 
-def _block_candidates(n, m_total, b):
-    """Contiguous equal blocks assigned to links, all matchings tried."""
+def _best_block(cap, n, m_total, b):
+    """(value, total, owners) of the best, under `_beats`, of the contiguous
+    equal blocks assigned to links, all matchings tried. A matching's rates
+    are its links' block sums, each summed from 0.0 in channel order as
+    `_metric` sums them, so (value, total) equal `_metric`'s; an owner
+    vector is built only to break a tie in (value, total), and for the
+    result."""
     base, extra = divmod(m_total, n)
     sizes = [min(b, base + (1 if i < extra else 0)) for i in range(n)]
-    starts, pos = [], 0
-    for s in sizes:
-        starts.append(pos)
-        pos += s
-    out = []
+    starts = list(itertools.accumulate(sizes, initial=0))
+    # sums[l][i]: link l's rate on block i
+    sums = [[sequential_sum(row[starts[i]:starts[i + 1]]) for i in range(n)]
+            for row in cap]
+
+    def owners(perm):
+        out = [-1] * m_total
+        for i, l in enumerate(perm):
+            out[starts[i]:starts[i + 1]] = [l] * sizes[i]
+        return out
+
+    best = best_key = None
     perms = itertools.permutations(range(n)) if n <= 6 else [tuple(range(n))]
     for perm in perms:
-        owners = [-1] * m_total
+        rates = [0.0] * n
         for i, l in enumerate(perm):
-            for m in range(starts[i], starts[i] + sizes[i]):
-                owners[m] = l
-        out.append(owners)
-    return out
+            rates[l] = sums[l][i]
+        key = (min(rates), sequential_sum(rates))
+        if best is None or key > best_key or (
+                key == best_key
+                and _beats(n, *key, owners(perm), *best_key, owners(best))):
+            best, best_key = perm, key
+    return (*best_key, owners(best))
 
 
 def _greedy_candidate(cap, n, m_total, b):
@@ -550,9 +578,8 @@ def solve(inst: ProblemInstance, *,
     cap = [[float(x) for x in row] for row in inst.capacity]
 
     # --- incumbent ------------------------------------------------------
-    candidates = _block_candidates(n, m_total, b)
-    candidates.append(_greedy_candidate(cap, n, m_total, b))
-    candidates.append([-1] * m_total)
+    best_value, best_total, best_owner = _best_block(cap, n, m_total, b)
+    candidates = [_greedy_candidate(cap, n, m_total, b), [-1] * m_total]
     if warm_start is not None:
         ws = as_allocation(warm_start)
         if ws.entries.shape != (n, m_total):
@@ -563,8 +590,6 @@ def solve(inst: ProblemInstance, *,
             raise ValidationError("warm start violates the span bound")
         candidates.append(ws.owner_vector())
 
-    best_owner = None
-    best_value = best_total = 0.0
     for owners in candidates:
         value, total = _metric(owners, cap, n, m_total)
         if _beats(n, value, total, owners, best_value, best_total, best_owner):
@@ -643,6 +668,10 @@ def solve(inst: ProblemInstance, *,
             needy_mask = 0
             for l in range(n):
                 r_l = rate[l]
+                if r_l > inc:
+                    # above the incumbent: the link's own bound cannot prune
+                    # and no subset bound reads it (see the module docstring)
+                    continue
                 if cnt[l]:
                     # the link's windows start in [hi-b+1, lo], so it can
                     # still reach channels hi-b+1..e, at most b - cnt of them
@@ -668,20 +697,17 @@ def solve(inst: ProblemInstance, *,
                 gain_cache[l] = gain
                 if r_l + gain < dead:
                     return
-                if r_l <= inc:
-                    deficit = inc - r_l - slack
-                    if deficit > 0.0:
-                        # topk is nondecreasing: capacities are >= 0
-                        j = bisect_left(topk, deficit, 1, slots + 1)
-                        if j > slots:
-                            return
-                        needed += j
-                        k_cache[l] = j
-                    else:
-                        k_cache[l] = 0
-                    needy_mask |= 1 << l
+                deficit = inc - r_l - slack
+                if deficit > 0.0:
+                    # topk is nondecreasing: capacities are >= 0
+                    j = bisect_left(topk, deficit, 1, slots + 1)
+                    if j > slots:
+                        return
+                    needed += j
+                    k_cache[l] = j
                 else:
                     k_cache[l] = 0
+                needy_mask |= 1 << l
             if needed > remaining:
                 return
 

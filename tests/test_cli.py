@@ -396,3 +396,37 @@ def test_guardband_rejects_csv_without_channel_columns(tmp_path, capsys):
                 "--out-dir", str(out)) == 2
     assert f"{alloc}: no channel columns" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# repeated in-process calls
+# ---------------------------------------------------------------------------
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # main reuses one parser per process; a usage error, --version and an
+    # input error in between must leave later commands' outputs unchanged
+    def solve_and_guard(name):
+        code, solved = _solve_dir(tmp_path, name + "-solve", "--b", "4",
+                                  "--interferers", "none")
+        assert code == 0
+        guarded = tmp_path / (name + "-gb")
+        assert _run("guardband", "--allocation", str(solved / "allocation.csv"),
+                    "--rates", str(solved / "channel_rates.csv"),
+                    "--out-dir", str(guarded)) == 0
+        return {path.name: path.read_bytes()
+                for out in (solved, guarded) for path in out.glob("*.csv")}
+
+    before = solve_and_guard("before")
+    with pytest.raises(SystemExit) as usage:
+        _run("solve", "--scenario", "grid4x12", "--b", "x")
+    assert usage.value.code == 2
+    with pytest.raises(SystemExit) as version:
+        _run("--version")
+    assert version.value.code == 0
+    assert _run("solve", "--scenario", "grid4x12", "--interferers", "Z",
+                "--out-dir", str(tmp_path / "bad")) == 2
+    assert not (tmp_path / "bad").exists()
+    capsys.readouterr()
+    after = solve_and_guard("after")
+    assert after == before
+    assert len(before) == 6

@@ -1,6 +1,7 @@
 import concurrent.futures
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ def test_node_budget_degrades_gracefully():
     full = solve(inst)
     assert full.proven_optimal
     assert res.maxmin <= full.maxmin
+
+
+def test_block_candidates_tied_in_value_and_total_keep_the_tie_order():
+    # every block matching of equal capacities ties in maxmin and total, so
+    # the first incumbent, returned at once with no node to search, is the
+    # one whose allocation matrix is lexicographically smallest
+    inst = _instance(np.ones((3, 6)))
+    res = solve(inst, node_budget=0)
+    assert not res.proven_optimal
+    assert res.allocation.owner_vector() == [2, 2, 1, 1, 0, 0]
+    assert np.array_equal(res.allocation.entries,
+                          brute_force(inst).allocation.entries)
 
 
 def test_deterministic_reruns():
@@ -373,6 +386,81 @@ def test_race_node_ceiling_per_environment(env):
             assert res.proven_optimal
             total += res.nodes_explored
     assert total <= _ENVIRONMENT_NODES[env]
+
+
+# the benchmark's realloc-cli traffic: grid4x12 at rng seeds 1-8 and b = 4,
+# solved with no interferer and then, warm-started from that allocation,
+# with A alone and with C alone. Index order settles each solve alone, so
+# these pin its search; (nodes, owners, maxmin) recorded when every link's
+# bound was evaluated at every node and every block candidate was scored
+# from its owner vector
+_GRID_B4_PINS = {
+    (1, "none"): (290, [0, 0, 0, 3, 3, 3, 2, 2, 1, 2, 1, 1],
+                  "0x1.affe862f2a403p+22"),
+    (1, "A"): (110, [0, 0, 3, 0, 3, 3, 2, 2, 1, 2, 1, 1],
+               "0x1.53b6084703684p+22"),
+    (1, "C"): (492, [3, 3, 3, 1, 1, 1, 2, 2, 0, 2, 0, 0],
+               "0x1.5425901f88f33p+22"),
+    (2, "none"): (258, [3, 3, 0, 3, 0, 0, 2, 2, 1, 2, 1, 1],
+                  "0x1.afb683224a982p+22"),
+    (2, "A"): (111, [0, 0, 1, 0, 1, 1, 2, 2, 2, 3, 3, 3],
+               "0x1.52ad5ae7a5e5ap+22"),
+    (2, "C"): (492, [2, 2, 2, 3, 3, 3, 1, 1, 0, 1, 0, 0],
+               "0x1.5429e2cc44a5ep+22"),
+    (3, "none"): (276, [0, 0, 2, 0, 2, 2, 1, 1, 3, 1, 3, 3],
+                  "0x1.affadb9578426p+22"),
+    (3, "A"): (105, [0, 0, 2, 0, 2, 2, 1, 1, 3, 1, 3, 3],
+               "0x1.534d6a88b3588p+22"),
+    (3, "C"): (508, [2, 2, 2, 1, 1, 3, 1, 3, 3, 0, 0, 0],
+               "0x1.55018961267aep+22"),
+    (4, "none"): (221, [1, 1, 3, 1, 3, 3, 2, 2, 0, 2, 0, 0],
+                  "0x1.b045d80ef242cp+22"),
+    (4, "A"): (110, [0, 0, 3, 0, 3, 3, 2, 2, 1, 2, 1, 1],
+               "0x1.53b815d9f1912p+22"),
+    (4, "C"): (490, [1, 1, 3, 1, 3, 3, 2, 2, 2, 0, 0, 0],
+               "0x1.5492deae5f3dep+22"),
+    (5, "none"): (163, [1, 1, 1, 3, 3, 3, 2, 2, 2, 0, 0, 0],
+                  "0x1.af6735e6da472p+22"),
+    (5, "A"): (112, [0, 0, 3, 0, 3, 3, 2, 2, 2, 1, 1, 1],
+               "0x1.53174cff04e82p+22"),
+    (5, "C"): (510, [2, 2, 3, 2, 3, 3, 1, 1, 1, 0, 0, 0],
+               "0x1.540b1f2be105bp+22"),
+    (6, "none"): (173, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
+                  "0x1.b0c911ba96fd0p+22"),
+    (6, "A"): (110, [0, 0, 1, 0, 1, 1, 2, 2, 2, 3, 3, 3],
+               "0x1.54d29224ee7d0p+22"),
+    (6, "C"): (540, [3, 3, 3, 1, 1, 1, 2, 2, 2, 0, 0, 0],
+               "0x1.53a0f09f07e48p+22"),
+    (7, "none"): (186, [1, 1, 2, 1, 2, 2, 0, 0, 3, 0, 3, 3],
+                  "0x1.af07330aea67ep+22"),
+    (7, "A"): (110, [0, 0, 1, 0, 1, 1, 3, 3, 3, 2, 2, 2],
+               "0x1.538e92e701154p+22"),
+    (7, "C"): (517, [1, 1, 3, 1, 3, 3, 2, 2, 0, 2, 0, 0],
+               "0x1.53ea5ef55d046p+22"),
+    (8, "none"): (182, [1, 1, 2, 1, 2, 2, 0, 0, 3, 0, 3, 3],
+                  "0x1.b03cee06136b0p+22"),
+    (8, "A"): (110, [0, 0, 1, 0, 1, 1, 2, 2, 3, 2, 3, 3],
+               "0x1.526681c3cd968p+22"),
+    (8, "C"): (598, [1, 1, 2, 1, 2, 2, 3, 3, 3, 0, 0, 0],
+               "0x1.549d9a62e9ed6p+22"),
+}
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_grid_b4_realloc_node_counts_pinned(seed):
+    cfg = replace(GRID4X12, rng_seed=seed, span_bound=4)
+    gains = realize_gains(cfg, None)
+    base = solve(instance_from_gains(cfg, gains, set()))
+    results = {"none": base}
+    for env in ("A", "C"):
+        results[env] = solve(instance_from_gains(cfg, gains, {env}),
+                             warm_start=base.allocation)
+    for env, res in results.items():
+        nodes, owners, maxmin = _GRID_B4_PINS[seed, env]
+        assert res.proven_optimal
+        assert res.nodes_explored == nodes
+        assert res.allocation.owner_vector() == owners
+        assert res.maxmin.hex() == maxmin
 
 
 # ---------------------------------------------------------------------------
