@@ -302,9 +302,12 @@ class AllocationMatrix:
         owners = list(owners)
         a = np.zeros((num_links, len(owners)), dtype=np.int8)
         for m, l in enumerate(owners):
-            if l < 0:
+            if type(l) is bool or not isinstance(l, (int, np.integer)):
+                raise ValidationError(
+                    f"owner {l!r} of channel {m} is not an integer")
+            if l == -1:
                 continue
-            if l >= num_links:
+            if not 0 <= l < num_links:
                 raise ValidationError(f"owner {l} out of range")
             a[l, m] = 1
         return cls(a)

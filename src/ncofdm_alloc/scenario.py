@@ -34,7 +34,7 @@ from .model import (
     rng_streams,
     sample_rician_power_gain,
 )
-from .solver import DEFAULT_NODE_BUDGET, SolveResult, solve
+from .solver import DEFAULT_NODE_BUDGET, SolveResult, _Tables, solve
 
 # Four links on a unit grid sharing 12 channels of 100 kHz, with three
 # fixed interferers that can be toggled independently.
@@ -408,11 +408,16 @@ def _sweep_one(task):
     every bound. Once a solve reaches the proven top value, the curve has
     reached its ceiling and every larger bound shares that value unsolved.
     Skipping those solves changes no value; it can turn the proven flag
-    from False to True only where a node budget cut one of them short."""
+    from False to True only where a node budget cut one of them short.
+    The solves share one `_Tables` of the draw's capacities: the solver
+    tables that do not depend on b, and the race order that last proved
+    an optimum below b = M. A proven value is the same either way."""
     cfg, b_values, active, gen, node_budget = task
     gains = realize_gains(cfg, gen)
     inst = instance_from_gains(cfg, gains, active)
-    top = solve(inst.with_span_bound(b_values[-1]), node_budget=node_budget)
+    tables = _Tables(inst)
+    top = solve(inst.with_span_bound(b_values[-1]), node_budget=node_budget,
+                tables=tables)
     proven = top.proven_optimal
     span_star = max(top.allocation.spans()) if proven else math.inf
     row, prev = [], None
@@ -421,7 +426,7 @@ def _sweep_one(task):
             row.append(top.maxmin)
             continue
         res = solve(inst.with_span_bound(b), node_budget=node_budget,
-                    warm_start=prev)
+                    warm_start=prev, tables=tables)
         prev = res.allocation
         proven = proven and res.proven_optimal
         row.append(res.maxmin)

@@ -50,6 +50,23 @@ one order is much faster, the race costs up to about (`_LEAD` + 1) times
 its nodes, plus two turns. At b >= M no window binds and largest-first
 runs alone.
 
+Several solves of one capacity matrix, such as the span bounds of one
+sweep realization, can share a `_Tables` of it. It holds each order's
+tables that depend only on the capacities, built on the order's first
+use: the visit order and the capacities in it, the tail top-k sums,
+index order's suffix sums and window top-k lists (a list for channels
+i..e is the same at every b; a bound builds the ones it reads),
+largest-first's ranked channels, and the reach, unvisited-range,
+exchange and subset tables. A search builds only what depends on b: the
+best window sums, the "leave unassigned" limits and largest-first's
+window memo, cut at b. The object also carries the race order: a race
+below b = M starts with the order that completed the last proven race
+below b = M on it, and the other joins under the same gate and turn
+rules (largest-first alone at b >= M, and a truncated solve, record
+nothing). A fresh object starts with index order, and a solve given none
+builds its own, so a solve on its own keeps its node count; a shared one
+changes node counts only, never a proven result.
+
 The result is still exact and bit-identical whichever order finishes: a
 completed search has visited, or soundly pruned, every allocation that
 could beat the shared incumbent, and every leaf is mapped back to index
@@ -145,6 +162,7 @@ rejected before any table is built.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -361,32 +379,26 @@ def _unvisited_range(visit):
     return list(first)[::-1], list(final)[::-1]
 
 
-def _order(visit, vcap, n, m_total, b, tail_topk, best_window, window_topk):
-    """The tables one visit order's search reads. Depth p decides channel
-    visit[p], and the channels still unvisited there sit at positions
-    p..M-1; vcap is the capacity matrix with its columns in visit order.
+def _order(visit, vcap, tail_topk):
+    """The tables of one visit order that depend only on the capacities.
+    Depth p decides channel visit[p], and the channels still unvisited
+    there sit at positions p..M-1; vcap is the capacity matrix with its
+    columns in visit order.
 
     tail_topk[l][p][j]: sum of the j largest of link l's unvisited
-    capacities; best_window[l][p]: the best sum of unvisited capacities in
-    one width-b window; window_topk(l, p, a, e): the sums of the j largest
-    unvisited capacities in channels a..e, for j = 0 up to their number or
-    at least up to b; reach_pos[e]: the last position of a channel numbered
-    at most e; dom_lo[p]/dom_hi[p]: the "leave unassigned" dominance
-    limits; u_min[p]/u_max[p]: the lowest and highest channel visited after
-    depth p; margin, exchange and below: the dominance margin and the
-    pairwise-exchange bitmasks; ssuf/mask_topk: the subset tables.
-    `_index_order` and `_largest_first` supply the first three."""
+    capacities; reach_pos[e]: the last position of a channel numbered at
+    most e; first[p]/final[p]: the lowest and highest unvisited channel at
+    depth p, and u_min[p]/u_max[p] those visited after depth p; margin,
+    exchange and below: the dominance margin and the pairwise-exchange
+    bitmasks; ssuf/mask_topk: the subset tables, and subsets_of[needy] the
+    subsets with a subset bound whose members are all needy."""
+    n, m_total = len(vcap), len(visit)
     last = m_total - 1
     position = [0] * m_total
     for p, m in enumerate(visit):
         position[m] = p
     reach_pos = list(itertools.accumulate(position, max))
-    # giving channel visit[p] to a link never costs a completion when the
-    # link's feasible window starts that can still hold a later channel stay
-    # feasible; those starts lie within the later channels' index range
     first, final = _unvisited_range(visit)
-    dom_lo = [min(m_total - b, final[p + 1]) for p in range(m_total)]
-    dom_hi = [max(b - 1, first[p + 1]) for p in range(m_total)]
     # pairwise exchange: exchange[p] = (better, worse), where better[l]
     # holds bit q when link l gains more than the margin by holding channel
     # visit[q] instead of visit[p], and worse[l] bit q when it loses more;
@@ -428,29 +440,117 @@ def _order(visit, vcap, n, m_total, b, tail_topk, best_window, window_topk):
             if len(rows) >= 2:
                 mask_topk[mask] = [_topk_cums(maxrow[k:])
                                    for k in range(m_total + 1)]
+    subsets = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
+               for mask in mask_topk]
+    subsets_of = [[(mask, members, len(members))
+                   for mask, members in subsets if mask & needy == mask]
+                  for needy in range(1 << n)] if subsets else []
     return SimpleNamespace(visit=visit, position=position, vcap=vcap,
-                           tail_topk=tail_topk, best_window=best_window,
-                           window_topk=window_topk, reach_pos=reach_pos,
-                           dom_lo=dom_lo, dom_hi=dom_hi, u_min=first[1:],
+                           tail_topk=tail_topk, reach_pos=reach_pos,
+                           first=first, final=final, u_min=first[1:],
                            u_max=final[1:], exchange=_PerDepth(exchange_row),
                            below=below, margin=margin, ssuf=ssuf,
-                           mask_topk=mask_topk)
+                           mask_topk=mask_topk, subsets_of=subsets_of)
 
 
-def _index_order(cap, n, m_total, b):
+def _at_bound(order, b, best_window, window_topk):
+    """The tables a search at span bound b reads: the visit order's shared
+    tables plus best_window[l][p], the best sum of unvisited capacities in
+    one width-b window; window_topk(l, p, a, e), the sums of the j largest
+    unvisited capacities in channels a..e, for j = 0 up to their number or
+    at least up to b; and dom_lo[p]/dom_hi[p], the "leave unassigned"
+    dominance limits. `_index_order` and `_largest_first` supply the first
+    two."""
+    m_total = len(order.visit)
+    first, final = order.first, order.final
+    # giving channel visit[p] to a link never costs a completion when the
+    # link's feasible window starts that can still hold a later channel stay
+    # feasible; those starts lie within the later channels' index range
+    dom_lo = [min(m_total - b, final[p + 1]) for p in range(m_total)]
+    dom_hi = [max(b - 1, first[p + 1]) for p in range(m_total)]
+    return SimpleNamespace(**vars(order), best_window=best_window,
+                           window_topk=window_topk, dom_lo=dom_lo,
+                           dom_hi=dom_hi)
+
+
+class _Tables:
+    """The solver tables of one capacity matrix that do not depend on the
+    span bound, for every solve of that matrix: each visit order's part is
+    built on its first use (`index`, `largest`), and the part that depends
+    on b is built per search (`_index_order`, `_largest_first`). `lead` is
+    the visit order (0 index order, 1 largest-first) that completed the
+    last proven race below b = M; the next race starts with it."""
+
+    def __init__(self, inst: ProblemInstance):
+        self.capacity = inst.capacity
+        self.cap = [[float(x) for x in row] for row in inst.capacity]
+        self.lead = 0
+
+    @functools.cached_property
+    def index(self):
+        """Index order's shared tables, suffix sums suf[l][k] of cap[l][k:]
+        and win_topk[l][i][e], the top-k sums of cap[l][i..e] (None until a
+        bound reads them; the tail e = M - 1 always built)."""
+        cap = self.cap
+        m_total = len(cap[0])
+        last = m_total - 1
+        suf = []
+        for row in cap:
+            sums = [0.0] * (m_total + 1)
+            for k in range(last, -1, -1):
+                sums[k] = sums[k + 1] + row[k]
+            suf.append(sums)
+        win_topk = []
+        for row in cap:
+            per_i = []
+            for i in range(m_total):
+                per_e = [None] * m_total
+                per_e[last] = _topk_cums(row[i:])
+                per_i.append(per_e)
+            win_topk.append(per_i)
+        tail_topk = [[per_e[last] for per_e in per_i] for per_i in win_topk]
+        return _order(list(range(m_total)), cap, tail_topk), suf, win_topk
+
+    @functools.cached_property
+    def largest(self):
+        """Largest-first's shared tables: channels in descending order of
+        their capacity summed over links (stable on ties), and ranked[l][p],
+        the channels at positions p..M-1, largest capacity first, whose
+        running sums are tail_topk[l][p]."""
+        cap = self.cap
+        n, m_total = len(cap), len(cap[0])
+        col_sums = [sequential_sum(cap[l][m] for l in range(n))
+                    for m in range(m_total)]
+        visit = sorted(range(m_total), key=col_sums.__getitem__, reverse=True)
+        vcap = [[row[m] for m in visit] for row in cap]
+        tail_topk, ranked = [], []
+        for l in range(n):
+            desc, neg, chans = [], [], []
+            tops, ranks = [None] * m_total, [None] * m_total
+            for p in range(m_total - 1, -1, -1):
+                c = vcap[l][p]
+                i = bisect.bisect_right(neg, -c)
+                neg.insert(i, -c)
+                desc.insert(i, c)
+                chans.insert(i, visit[p])
+                tops[p] = list(itertools.accumulate(desc, initial=0.0))
+                ranks[p] = chans[:]
+            tail_topk.append(tops)
+            ranked.append(ranks)
+        return _order(visit, vcap, tail_topk), ranked
+
+
+def _index_order(tables, b):
     """Channels in index order. The channels a link can still reach are then
-    one run idx..e of the index, so window top-k sums are a table."""
+    one run idx..e of the index, so window top-k sums are a table; a bound
+    reads the lists with e - i < b (an anchored window) and the tail."""
+    order, suf, win_topk = tables.index
+    cap = tables.cap
+    m_total = len(cap[0])
     last = m_total - 1
-    # suf[l][k]: plain float suffix sum of cap[l][k:]
-    suf = []
-    for l in range(n):
-        row = [0.0] * (m_total + 1)
-        for k in range(last, -1, -1):
-            row[k] = row[k + 1] + cap[l][k]
-        suf.append(row)
     # best_window[l][k]: best sum of a width-b window starting at or after k
     best_window = []
-    for l in range(n):
+    for l in range(len(cap)):
         row = [0.0] * (m_total + 1)
         best = 0.0
         for k in range(last, -1, -1):
@@ -459,74 +559,46 @@ def _index_order(cap, n, m_total, b):
                 best = win
             row[k] = best
         best_window.append(row)
-    # win_topk[l][i][e]: sum of the j largest capacities of cap[l][i..e],
-    # built only where the search reads it: e - i < b (an anchored window)
-    # and e = M - 1 (the tail)
-    win_topk = []
-    for l in range(n):
-        row = cap[l]
-        per_i = []
-        for i in range(m_total):
-            per_e = [None] * m_total
+    for row, per_i in zip(cap, win_topk):
+        for i, per_e in enumerate(per_i):
             for e in range(i, min(i + b, last)):
-                per_e[e] = _topk_cums(row[i:e + 1])
-            per_e[last] = _topk_cums(row[i:])
-            per_i.append(per_e)
-        win_topk.append(per_i)
-    tail_topk = [[per_e[last] for per_e in per_i] for per_i in win_topk]
+                if per_e[e] is None:
+                    per_e[e] = _topk_cums(row[i:e + 1])
     empty = (0.0,)
 
     def window_topk(l, idx, a, e):
         return win_topk[l][idx][e] if e >= idx else empty
 
-    return _order(list(range(m_total)), cap, n, m_total, b, tail_topk,
-                  best_window, window_topk)
+    return _at_bound(order, b, best_window, window_topk)
 
 
-def _largest_first(cap, n, m_total, b):
-    """Channels in descending order of their capacity summed over links
-    (stable on ties). The unvisited channels are scattered over the index,
-    so window top-k sums are gathered from each link's unvisited channels
-    sorted by capacity: O(N·M²) tables. A gathered list is kept for every
-    later node that asks for the same (link, depth, window); an anchored
-    link's window is set by its range [lo, hi], one of at most M·b, so the
-    memo holds at most N·M²·b lists of at most b + 1 sums. It belongs to
-    these tables, so it lives as long as the one search that reads them."""
-    col_sums = [sequential_sum(cap[l][m] for l in range(n))
-                for m in range(m_total)]
-    visit = sorted(range(m_total), key=col_sums.__getitem__, reverse=True)
-    vcap = [[row[m] for m in visit] for row in cap]
-    last = m_total - 1
-    # ranked[l][p]: the channels at positions p..M-1, largest capacity
-    # first, and tail_topk[l][p] their running sums
-    tail_topk, ranked = [], []
-    for l in range(n):
-        desc, neg, chans = [], [], []
-        tops, ranks = [None] * m_total, [None] * m_total
-        for p in range(last, -1, -1):
-            c = vcap[l][p]
-            i = bisect.bisect_right(neg, -c)
-            neg.insert(i, -c)
-            desc.insert(i, c)
-            chans.insert(i, visit[p])
-            tops[p] = list(itertools.accumulate(desc, initial=0.0))
-            ranks[p] = chans[:]
-        tail_topk.append(tops)
-        ranked.append(ranks)
+def _largest_first(tables, b):
+    """Channels in descending order of their capacity summed over links.
+    The unvisited channels are scattered over the index, so window top-k
+    sums are gathered from each link's unvisited channels sorted by
+    capacity: O(N·M²) tables. A gathered list is kept for every later node
+    that asks for the same (link, depth, window); an anchored link's window
+    is set by its range [lo, hi], one of at most M·b, so the memo holds at
+    most N·M²·b lists of at most b + 1 sums. It is cut at b, so it belongs
+    to these tables and lives as long as the one search that reads them."""
+    order, ranked = tables.largest
+    cap = tables.cap
+    visit, tail_topk = order.visit, order.tail_topk
+    m_total = len(visit)
     # best_window[l][p]: the best width-b window sum of the capacities at
     # positions p..M-1, each window summed from position M-1 down
     starts = m_total - b + 1
     best_window = []
-    for row in vcap:
+    for row in order.vcap:
         wins = [0.0] * starts
         best = [0.0] * (m_total + 1)
-        for p in range(last, -1, -1):
+        for p in range(m_total - 1, -1, -1):
             m = visit[p]
             for s in range(max(0, m - b + 1), min(m, starts - 1) + 1):
                 wins[s] += row[p]
             best[p] = max(wins)
         best_window.append(best)
-    first, final = _unvisited_range(visit)
+    first, final = order.first, order.final
     memo = {}
 
     def window_topk(l, idx, a, e):
@@ -546,8 +618,7 @@ def _largest_first(cap, n, m_total, b):
                         break
         return cums
 
-    return _order(visit, vcap, n, m_total, b, tail_topk, best_window,
-                  window_topk)
+    return _at_bound(order, b, best_window, window_topk)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +627,7 @@ def _largest_first(cap, n, m_total, b):
 
 def solve(inst: ProblemInstance, *,
           node_budget: int = DEFAULT_NODE_BUDGET,
-          warm_start=None) -> SolveResult:
+          warm_start=None, tables: _Tables | None = None) -> SolveResult:
     """Exactly maximize the minimum link rate subject to orthogonal
     assignment and the per-link span cap.
 
@@ -564,6 +635,13 @@ def solve(inst: ProblemInstance, *,
     are exhausted first, in which case the best incumbent is returned with
     proven_optimal=False. Ties between optima are broken deterministically
     (total rate, then lexicographic), so repeated runs agree bit-for-bit.
+
+    `tables` (a `_Tables` of this instance's capacity matrix, any span
+    bound; a ValidationError otherwise) lets several solves of one matrix
+    share the tables that do not depend on b, and carries the visit order
+    that completed the last proven race into the next. A proven result is
+    the same with or without it; without it the solve builds its own, so
+    its node count is that of a solve on its own.
     """
     t_start = time.perf_counter()
     n, m_total, b = inst.num_links, inst.num_channels, inst.span_bound
@@ -575,7 +653,12 @@ def solve(inst: ProblemInstance, *,
             f"num_channels={m_total} exceeds the search depth limit of "
             f"{max_channels} (recursion limit {sys.getrecursionlimit()} "
             f"minus {_STACK_MARGIN} frames for the caller)")
-    cap = [[float(x) for x in row] for row in inst.capacity]
+    if tables is None:
+        tables = _Tables(inst)
+    elif not np.array_equal(tables.capacity, inst.capacity):
+        raise ValidationError(
+            "solver tables were built for another capacity matrix")
+    cap = tables.cap
 
     # --- incumbent ------------------------------------------------------
     best_value, best_total, best_owner = _best_block(cap, n, m_total, b)
@@ -620,13 +703,6 @@ def solve(inst: ProblemInstance, *,
         k_cache = [0] * n
         slots_cache = [0] * n
         gain_cache = [0.0] * n
-        # subsets_of[needy]: the subsets with a subset bound whose members
-        # are all needy, with their members and size
-        subsets = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
-                   for mask in t.mask_topk]
-        subsets_of = [[(mask, members, len(members))
-                       for mask, members in subsets if mask & needy == mask]
-                      for needy in range(1 << n)] if subsets else []
 
         # kids[p]: the children of the node at depth p, in search order:
         # the links it gives channel visit[p] to, then -1 if it also leaves
@@ -641,7 +717,7 @@ def solve(inst: ProblemInstance, *,
                 best_window=t.best_window, window_topk=t.window_topk,
                 reach_pos=t.reach_pos, dom_lo=t.dom_lo, dom_hi=t.dom_hi,
                 u_min=t.u_min, u_max=t.u_max, exchange=t.exchange,
-                margin=t.margin, below=t.below, subsets_of=subsets_of,
+                margin=t.margin, below=t.below, subsets_of=t.subsets_of,
                 ssuf=t.ssuf, mask_topk=t.mask_topk, b=b, n=n, m_total=m_total,
                 last=last, bisect_left=bisect.bisect_left):
             nonlocal nodes, best_owner, best_value, best_total
@@ -881,20 +957,20 @@ def solve(inst: ProblemInstance, *,
                 yield done
         finally:
             # dfs refers to itself; breaking that cycle frees the search's
-            # state and tables when it ends, not at a later full collection
+            # state and its b-dependent tables when it ends, not at a later
+            # full collection
             dfs = None
 
-    # the race of the module docstring (largest-first alone at b >= M):
-    # used[i] nodes so far and left[i] estimated nodes to go, for index
-    # order (0) and largest-first (1)
+    # the race of the module docstring (largest-first alone at b >= M),
+    # started by the order that completed the last proven race: used[i]
+    # nodes so far and left[i] estimated nodes to go, for index order (0)
+    # and largest-first (1)
+    orders = (_index_order, _largest_first)
     turn = max(_SLICE_NODES, 1)
-    if b >= m_total:
-        runs = [search(_largest_first(cap, n, m_total, b))]
-    else:
-        runs = [search(_index_order(cap, n, m_total, b))]
+    i = tables.lead if b < m_total else 1
+    runs = {i: search(orders[i](tables, b))}
     used = [0, 0]
     left = [math.inf, math.inf]
-    i = 0
     proven = False
     while True:
         start = nodes
@@ -909,12 +985,14 @@ def solve(inst: ProblemInstance, *,
         used[i] += nodes - start
         left[i] = used[i] * (1.0 - done) / done if done > 0.0 else math.inf
         if len(runs) == 1:
-            if b < m_total and left[0] > _LEAD * turn:
-                runs.append(search(_largest_first(cap, n, m_total, b)))
-                i = 1
+            if b < m_total and left[i] > _LEAD * turn:
+                i = 1 - i
+                runs[i] = search(orders[i](tables, b))
             continue
         i = 0 if left[0] <= left[1] else 1
         if used[i] >= _LEAD * max(used[1 - i], turn):
             i = 1 - i
+    if proven and b < m_total:
+        tables.lead = i
 
     return _result(inst, best_owner, proven, nodes, t_start)

@@ -339,8 +339,23 @@ def test_allocation_matrix_helpers():
     assert a.owner_vector() == [0, 1, 0, -1]
     rebuilt = AllocationMatrix.from_owner_vector([0, 1, 0, -1], 2)
     assert np.array_equal(rebuilt.entries, a.entries)
+    rebuilt = AllocationMatrix.from_owner_vector(np.array([0, 1, 0, -1]), 2)
+    assert np.array_equal(rebuilt.entries, a.entries)
     with pytest.raises(ValidationError):
         AllocationMatrix(np.array([[2, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("owners, match", [
+    ([0, -2, 1, -7], "out of range"),
+    ([0, 2, 1, -1], "out of range"),
+    ([0, 1.0, 1, -1], "not an integer"),
+    ([0, 0.5, 1, -1], "not an integer"),
+    ([0, "1", 1, -1], "not an integer"),
+    ([0, True, 1, -1], "not an integer"),
+])
+def test_from_owner_vector_rejects_bad_owners(owners, match):
+    with pytest.raises(ValidationError, match=match):
+        AllocationMatrix.from_owner_vector(owners, 2)
 
 
 def test_allocation_matrix_immutable():

@@ -30,7 +30,7 @@ from ncofdm_alloc.scenario import (
     scenario_to_dict,
     sweep,
 )
-from ncofdm_alloc.solver import solve
+from ncofdm_alloc.solver import _Tables, solve
 
 
 def _small_cfg(**overrides):
@@ -264,6 +264,33 @@ def test_sweep_stops_at_its_ceiling(monkeypatch):
     inst = instance_from_gains(cfg, realize_gains(cfg, gen), active)
     expected = [solve(inst.with_span_bound(b)).maxmin for b in b_values]
     assert list(curve.values[0]) == expected
+
+
+def test_shared_tables_are_exact():
+    # one realization's solves share one _Tables, as a sweep's do: every
+    # result equals a solve on its own, and so does the node count while the
+    # carried race order is index order, where a solve on its own starts
+    cfg = builtin_scenario("grid4x12")
+    carried = 0
+    for env in ("none", "A", "C", "A,B,C"):
+        active = set(env.split(",")) - {"none"}
+        for draw in range(3):
+            gen, = rng_streams(np.random.default_rng((1000, draw)), 1)
+            inst = instance_from_gains(cfg, realize_gains(cfg, gen), active)
+            tables = _Tables(inst)
+            for b in (12, *range(3, 12)):
+                from_index = tables.lead == 0
+                carried += not from_index
+                shared = solve(inst.with_span_bound(b), tables=tables)
+                alone = solve(inst.with_span_bound(b))
+                assert shared.proven_optimal and alone.proven_optimal
+                assert (shared.allocation.owner_vector()
+                        == alone.allocation.owner_vector())
+                assert shared.maxmin.hex() == alone.maxmin.hex()
+                if from_index:
+                    assert shared.nodes_explored == alone.nodes_explored
+    # some races started with largest-first, so the carried order ran
+    assert carried
 
 
 def test_sweep_workers_match_serial():

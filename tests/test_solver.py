@@ -550,6 +550,38 @@ def test_race_error_in_a_turn_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_solver_tables_are_bound_to_their_matrix():
+    inst = _grid_instance(0, {"A", "B", "C"}, 5)
+    tables = solver._Tables(inst.with_span_bound(12))
+    assert solve(inst, tables=tables).maxmin == solve(inst).maxmin
+    capacity = inst.capacity.copy()
+    capacity[2, 7] *= 1.5
+    other = replace(inst, capacity=capacity)
+    with pytest.raises(ValidationError, match="another capacity matrix"):
+        solve(other, tables=tables)
+    with pytest.raises(ValidationError, match="another capacity matrix"):
+        solve(inst, tables=solver._Tables(other))
+
+
+def test_solver_tables_carry_only_a_proven_race_order():
+    # largest-first alone at b = M and a budget-truncated race leave the
+    # carried order as it was; a race that largest-first completes sets it,
+    # and the next race starts with largest-first, saving index order's turn
+    inst = _grid_instance(0, {"A", "B", "C"}, 12)
+    tables = solver._Tables(inst)
+    assert solve(inst, tables=tables).proven_optimal
+    assert tables.lead == 0
+    inst = inst.with_span_bound(5)
+    assert not solve(inst, tables=tables, node_budget=1_000).proven_optimal
+    assert tables.lead == 0
+    first = solve(inst, tables=tables)
+    assert first.nodes_explored == solve(inst).nodes_explored == 1_009
+    assert tables.lead == 1
+    again = solve(inst, tables=tables)
+    assert again.nodes_explored == 752
+    assert again.maxmin.hex() == first.maxmin.hex()
+
+
 # ---------------------------------------------------------------------------
 # invariants, with the default slices and with one-node slices that make
 # index order and largest-first share every solve below b = M
