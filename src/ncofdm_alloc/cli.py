@@ -379,10 +379,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.argv = ["ncofdm-alloc"] + argv
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

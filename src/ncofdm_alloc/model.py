@@ -34,6 +34,14 @@ def as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def as_int(value, name: str) -> int:
+    """An integer argument as an int: Python and numpy integers pass;
+    booleans and floats, whole ones included, are a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def rng_streams(rng, count: int) -> list[np.random.Generator]:
     """Derive `count` independent child generators, deterministically.
 
@@ -227,6 +235,8 @@ class ProblemInstance:
     span_bound: int
 
     def __post_init__(self):
+        for name in ("num_links", "num_channels", "span_bound"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         cap = np.array(self.capacity, dtype=np.float64)
         if cap.shape != (self.num_links, self.num_channels):
             raise ValidationError(
@@ -243,7 +253,7 @@ class ProblemInstance:
         object.__setattr__(self, "capacity", cap)
 
     def with_span_bound(self, span_bound: int) -> "ProblemInstance":
-        return replace(self, span_bound=int(span_bound))
+        return replace(self, span_bound=span_bound)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .model import (
     RateResult,
     ScenarioConfig,
     ValidationError,
+    as_int,
     as_rng,
     compute_capacity,
     compute_sinr,
@@ -291,7 +292,7 @@ def instance_from_gains(cfg: ScenarioConfig, gains: GainMatrix,
     return ProblemInstance(
         num_links=n, num_channels=m_total,
         channel_bandwidth=bandwidth, capacity=capacity,
-        span_bound=cfg.span_bound if span_bound is None else int(span_bound))
+        span_bound=cfg.span_bound if span_bound is None else span_bound)
 
 
 def realize_instance(cfg: ScenarioConfig, active_interferers=None,
@@ -323,7 +324,7 @@ class TradeoffCurve:
 
 def check_b_values(b_values: Sequence[int], num_channels: int,
                    lower: int = 1) -> tuple[int, ...]:
-    b_values = tuple(int(b) for b in b_values)
+    b_values = tuple(as_int(b, "span bound") for b in b_values)
     if not b_values:
         raise ValidationError("need at least one span bound")
     if any(b2 <= b1 for b1, b2 in zip(b_values, b_values[1:])):

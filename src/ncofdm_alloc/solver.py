@@ -28,9 +28,10 @@ of `_SLICE_NODES` nodes (an algorithm portfolio, Gomes & Selman, AIJ
 2001), each resumed where its last turn ended and sharing the best
 allocation found so far, until one completes; it proves the result. Each
 search is a generator that yields when its turn is over, so both run in
-the caller's thread, one at a time. Largest-first gathers a link's window
-top-k sums from its unvisited channels and keeps each gathered list for
-the later nodes that ask for the same window (see `_largest_first`).
+the caller's thread, one at a time. The two orders share one table
+pipeline and differ only in the visit permutation: each gathers a link's
+window top-k sums from its unvisited channels and keeps each gathered
+list for the later nodes that ask for the same window (see `_at_bound`).
 
 A turn goes to the search that looks closer to done, by Knuth's estimate
 (Math. Comp. 1975) of the finished share d of its tree: the root weighs
@@ -53,19 +54,17 @@ runs alone.
 Several solves of one capacity matrix, such as the span bounds of one
 sweep realization, can share a `_Tables` of it. It holds each order's
 tables that depend only on the capacities, built on the order's first
-use: the visit order and the capacities in it, the tail top-k sums,
-index order's suffix sums and window top-k lists (a list for channels
-i..e is the same at every b; a bound builds the ones it reads),
-largest-first's ranked channels, and the reach, unvisited-range,
-exchange and subset tables. A search builds only what depends on b: the
-best window sums, the "leave unassigned" limits and largest-first's
-window memo, cut at b. The object also carries the race order: a race
-below b = M starts with the order that completed the last proven race
-below b = M on it, and the other joins under the same gate and turn
-rules (largest-first alone at b >= M, and a truncated solve, record
-nothing). A fresh object starts with index order, and a solve given none
-builds its own, so a solve on its own keeps its node count; a shared one
-changes node counts only, never a proven result.
+use: the visit order and the capacities in it, the tail top-k sums and
+the ranked channels they sum, and the reach, unvisited-range, exchange
+and subset tables. A search builds only what depends on b: the best
+window sums, the "leave unassigned" limits and the window memo, cut at
+b. The object also carries the race order: a race below b = M starts
+with the order that completed the last proven race below b = M on it,
+and the other joins under the same gate and turn rules (largest-first
+alone at b >= M, and a truncated solve, record nothing). A fresh object
+starts with index order, and a solve given none builds its own, so a
+solve on its own keeps its node count; a shared one changes node counts
+only, never a proven result.
 
 The result is still exact and bit-identical whichever order finishes: a
 completed search has visited, or soundly pruned, every allocation that
@@ -162,7 +161,6 @@ rejected before any table is built.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -379,21 +377,37 @@ def _unvisited_range(visit):
     return list(first)[::-1], list(final)[::-1]
 
 
-def _order(visit, vcap, tail_topk):
+def _order(cap, visit):
     """The tables of one visit order that depend only on the capacities.
     Depth p decides channel visit[p], and the channels still unvisited
     there sit at positions p..M-1; vcap is the capacity matrix with its
     columns in visit order.
 
     tail_topk[l][p][j]: sum of the j largest of link l's unvisited
-    capacities; reach_pos[e]: the last position of a channel numbered at
-    most e; first[p]/final[p]: the lowest and highest unvisited channel at
-    depth p, and u_min[p]/u_max[p] those visited after depth p; margin,
-    exchange and below: the dominance margin and the pairwise-exchange
-    bitmasks; ssuf/mask_topk: the subset tables, and subsets_of[needy] the
-    subsets with a subset bound whose members are all needy."""
-    n, m_total = len(vcap), len(visit)
+    capacities, whose channels, largest capacity first, are ranked[l][p];
+    reach_pos[e]: the last position of a channel numbered at most e;
+    first[p]/final[p]: the lowest and highest unvisited channel at depth
+    p, and u_min[p]/u_max[p] those visited after depth p; margin, exchange
+    and below: the dominance margin and the pairwise-exchange bitmasks;
+    ssuf/mask_topk: the subset tables, and subsets_of[needy] the subsets
+    with a subset bound whose members are all needy."""
+    n, m_total = len(cap), len(visit)
     last = m_total - 1
+    vcap = [[row[m] for m in visit] for row in cap]
+    tail_topk, ranked = [], []
+    for l in range(n):
+        desc, neg, chans = [], [], []
+        tops, ranks = [None] * m_total, [None] * m_total
+        for p in range(last, -1, -1):
+            c = vcap[l][p]
+            i = bisect.bisect_right(neg, -c)
+            neg.insert(i, -c)
+            desc.insert(i, c)
+            chans.insert(i, visit[p])
+            tops[p] = list(itertools.accumulate(desc, initial=0.0))
+            ranks[p] = chans[:]
+        tail_topk.append(tops)
+        ranked.append(ranks)
     position = [0] * m_total
     for p, m in enumerate(visit):
         position[m] = p
@@ -407,10 +421,10 @@ def _order(visit, vcap, tail_topk):
     ranks = []
     for row in vcap:
         # ascending capacities, and the positions of the k smallest
-        ranked = sorted(range(m_total), key=row.__getitem__)
-        smallest = list(itertools.accumulate((1 << q for q in ranked),
+        rising = sorted(range(m_total), key=row.__getitem__)
+        smallest = list(itertools.accumulate((1 << q for q in rising),
                                              operator.or_, initial=0))
-        ranks.append((row, [row[q] for q in ranked], smallest))
+        ranks.append((row, [row[q] for q in rising], smallest))
 
     def exchange_row(p):
         better, worse = [], []
@@ -446,144 +460,61 @@ def _order(visit, vcap, tail_topk):
                    for mask, members in subsets if mask & needy == mask]
                   for needy in range(1 << n)] if subsets else []
     return SimpleNamespace(visit=visit, position=position, vcap=vcap,
-                           tail_topk=tail_topk, reach_pos=reach_pos,
+                           tail_topk=tail_topk, ranked=ranked,
+                           reach_pos=reach_pos,
                            first=first, final=final, u_min=first[1:],
                            u_max=final[1:], exchange=_PerDepth(exchange_row),
                            below=below, margin=margin, ssuf=ssuf,
                            mask_topk=mask_topk, subsets_of=subsets_of)
 
 
-def _at_bound(order, b, best_window, window_topk):
-    """The tables a search at span bound b reads: the visit order's shared
-    tables plus best_window[l][p], the best sum of unvisited capacities in
-    one width-b window; window_topk(l, p, a, e), the sums of the j largest
-    unvisited capacities in channels a..e, for j = 0 up to their number or
-    at least up to b; and dom_lo[p]/dom_hi[p], the "leave unassigned"
-    dominance limits. `_index_order` and `_largest_first` supply the first
-    two."""
-    m_total = len(order.visit)
-    first, final = order.first, order.final
-    # giving channel visit[p] to a link never costs a completion when the
-    # link's feasible window starts that can still hold a later channel stay
-    # feasible; those starts lie within the later channels' index range
-    dom_lo = [min(m_total - b, final[p + 1]) for p in range(m_total)]
-    dom_hi = [max(b - 1, first[p + 1]) for p in range(m_total)]
-    return SimpleNamespace(**vars(order), best_window=best_window,
-                           window_topk=window_topk, dom_lo=dom_lo,
-                           dom_hi=dom_hi)
-
-
 class _Tables:
     """The solver tables of one capacity matrix that do not depend on the
-    span bound, for every solve of that matrix: each visit order's part is
-    built on its first use (`index`, `largest`), and the part that depends
-    on b is built per search (`_index_order`, `_largest_first`). `lead` is
-    the visit order (0 index order, 1 largest-first) that completed the
-    last proven race below b = M; the next race starts with it."""
+    span bound, for every solve of that matrix. `order(i)` builds the part
+    of visit order i (0 index order, 1 largest-first) on its first use, and
+    `_at_bound` the part that depends on b, per search. `lead` is the visit
+    order that completed the last proven race below b = M; the next race
+    starts with it."""
 
     def __init__(self, inst: ProblemInstance):
         self.capacity = inst.capacity
         self.cap = [[float(x) for x in row] for row in inst.capacity]
         self.lead = 0
+        self._orders = [None, None]
 
-    @functools.cached_property
-    def index(self):
-        """Index order's shared tables, suffix sums suf[l][k] of cap[l][k:]
-        and win_topk[l][i][e], the top-k sums of cap[l][i..e] (None until a
-        bound reads them; the tail e = M - 1 always built)."""
-        cap = self.cap
-        m_total = len(cap[0])
-        last = m_total - 1
-        suf = []
-        for row in cap:
-            sums = [0.0] * (m_total + 1)
-            for k in range(last, -1, -1):
-                sums[k] = sums[k + 1] + row[k]
-            suf.append(sums)
-        win_topk = []
-        for row in cap:
-            per_i = []
-            for i in range(m_total):
-                per_e = [None] * m_total
-                per_e[last] = _topk_cums(row[i:])
-                per_i.append(per_e)
-            win_topk.append(per_i)
-        tail_topk = [[per_e[last] for per_e in per_i] for per_i in win_topk]
-        return _order(list(range(m_total)), cap, tail_topk), suf, win_topk
-
-    @functools.cached_property
-    def largest(self):
-        """Largest-first's shared tables: channels in descending order of
-        their capacity summed over links (stable on ties), and ranked[l][p],
-        the channels at positions p..M-1, largest capacity first, whose
-        running sums are tail_topk[l][p]."""
-        cap = self.cap
-        n, m_total = len(cap), len(cap[0])
-        col_sums = [sequential_sum(cap[l][m] for l in range(n))
-                    for m in range(m_total)]
-        visit = sorted(range(m_total), key=col_sums.__getitem__, reverse=True)
-        vcap = [[row[m] for m in visit] for row in cap]
-        tail_topk, ranked = [], []
-        for l in range(n):
-            desc, neg, chans = [], [], []
-            tops, ranks = [None] * m_total, [None] * m_total
-            for p in range(m_total - 1, -1, -1):
-                c = vcap[l][p]
-                i = bisect.bisect_right(neg, -c)
-                neg.insert(i, -c)
-                desc.insert(i, c)
-                chans.insert(i, visit[p])
-                tops[p] = list(itertools.accumulate(desc, initial=0.0))
-                ranks[p] = chans[:]
-            tail_topk.append(tops)
-            ranked.append(ranks)
-        return _order(visit, vcap, tail_topk), ranked
+    def order(self, i):
+        """Visit order i's shared tables: channels in index order, or in
+        descending order of their capacity summed over links (stable on
+        ties)."""
+        if self._orders[i] is None:
+            cap = self.cap
+            visit = list(range(len(cap[0])))
+            if i:
+                col_sums = [sequential_sum(col) for col in zip(*cap)]
+                visit.sort(key=col_sums.__getitem__, reverse=True)
+            self._orders[i] = _order(cap, visit)
+        return self._orders[i]
 
 
-def _index_order(tables, b):
-    """Channels in index order. The channels a link can still reach are then
-    one run idx..e of the index, so window top-k sums are a table; a bound
-    reads the lists with e - i < b (an anchored window) and the tail."""
-    order, suf, win_topk = tables.index
-    cap = tables.cap
-    m_total = len(cap[0])
-    last = m_total - 1
-    # best_window[l][k]: best sum of a width-b window starting at or after k
-    best_window = []
-    for l in range(len(cap)):
-        row = [0.0] * (m_total + 1)
-        best = 0.0
-        for k in range(last, -1, -1):
-            win = suf[l][k] - suf[l][min(k + b, m_total)]
-            if win > best:
-                best = win
-            row[k] = best
-        best_window.append(row)
-    for row, per_i in zip(cap, win_topk):
-        for i, per_e in enumerate(per_i):
-            for e in range(i, min(i + b, last)):
-                if per_e[e] is None:
-                    per_e[e] = _topk_cums(row[i:e + 1])
-    empty = (0.0,)
+def _at_bound(tables, i, b):
+    """The tables a search of visit order i at span bound b reads: the
+    order's shared tables plus best_window[l][p], the best sum of unvisited
+    capacities in one width-b window; window_topk(l, p, a, e), the sums of
+    the j largest unvisited capacities in channels a..e, for j = 0 up to
+    their number or at least up to b; and dom_lo[p]/dom_hi[p], the "leave
+    unassigned" dominance limits.
 
-    def window_topk(l, idx, a, e):
-        return win_topk[l][idx][e] if e >= idx else empty
-
-    return _at_bound(order, b, best_window, window_topk)
-
-
-def _largest_first(tables, b):
-    """Channels in descending order of their capacity summed over links.
-    The unvisited channels are scattered over the index, so window top-k
-    sums are gathered from each link's unvisited channels sorted by
-    capacity: O(N·M²) tables. A gathered list is kept for every later node
+    The unvisited channels may be scattered over the index, so window
+    top-k sums are gathered from a link's unvisited channels, largest
+    first: O(N·M²) tables. A gathered list is kept for every later node
     that asks for the same (link, depth, window); an anchored link's window
     is set by its range [lo, hi], one of at most M·b, so the memo holds at
     most N·M²·b lists of at most b + 1 sums. It is cut at b, so it belongs
     to these tables and lives as long as the one search that reads them."""
-    order, ranked = tables.largest
+    order = tables.order(i)
     cap = tables.cap
-    visit, tail_topk = order.visit, order.tail_topk
+    visit, tail_topk, ranked = order.visit, order.tail_topk, order.ranked
+    first, final = order.first, order.final
     m_total = len(visit)
     # best_window[l][p]: the best width-b window sum of the capacities at
     # positions p..M-1, each window summed from position M-1 down
@@ -598,7 +529,6 @@ def _largest_first(tables, b):
                 wins[s] += row[p]
             best[p] = max(wins)
         best_window.append(best)
-    first, final = order.first, order.final
     memo = {}
 
     def window_topk(l, idx, a, e):
@@ -618,7 +548,14 @@ def _largest_first(tables, b):
                         break
         return cums
 
-    return _at_bound(order, b, best_window, window_topk)
+    # giving channel visit[p] to a link never costs a completion when the
+    # link's feasible window starts that can still hold a later channel stay
+    # feasible; those starts lie within the later channels' index range
+    dom_lo = [min(m_total - b, final[p + 1]) for p in range(m_total)]
+    dom_hi = [max(b - 1, first[p + 1]) for p in range(m_total)]
+    return SimpleNamespace(**vars(order), best_window=best_window,
+                           window_topk=window_topk, dom_lo=dom_lo,
+                           dom_hi=dom_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -965,10 +902,9 @@ def solve(inst: ProblemInstance, *,
     # started by the order that completed the last proven race: used[i]
     # nodes so far and left[i] estimated nodes to go, for index order (0)
     # and largest-first (1)
-    orders = (_index_order, _largest_first)
     turn = max(_SLICE_NODES, 1)
     i = tables.lead if b < m_total else 1
-    runs = {i: search(orders[i](tables, b))}
+    runs = {i: search(_at_bound(tables, i, b))}
     used = [0, 0]
     left = [math.inf, math.inf]
     proven = False
@@ -987,7 +923,7 @@ def solve(inst: ProblemInstance, *,
         if len(runs) == 1:
             if b < m_total and left[i] > _LEAD * turn:
                 i = 1 - i
-                runs[i] = search(orders[i](tables, b))
+                runs[i] = search(_at_bound(tables, i, b))
             continue
         i = 0 if left[0] <= left[1] else 1
         if used[i] >= _LEAD * max(used[1 - i], turn):

@@ -328,6 +328,25 @@ def test_problem_instance_validation():
         _instance([[1.0, math.inf]])
     with pytest.raises(ValidationError):
         _instance([[1.0, 2.0]], b=3)
+    # sizes and bounds must be integers, never truncated
+    for field, value in (("span_bound", 2.5), ("span_bound", 2.0),
+                         ("span_bound", True), ("num_links", 1.0),
+                         ("num_channels", 2.0), ("num_channels", "2")):
+        kwargs = dict(num_links=1, num_channels=2, channel_bandwidth=1e5,
+                      capacity=[[1.0, 2.0]], span_bound=2)
+        kwargs[field] = value
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be an integer"):
+            ProblemInstance(**kwargs)
+    with pytest.raises(ValidationError, match="span_bound must be an integer"):
+        _instance([[1.0, 2.0, 3.0]]).with_span_bound(2.9)
+    # numpy integers are accepted and stored as int
+    inst = ProblemInstance(num_links=np.int32(1), num_channels=np.int64(3),
+                           channel_bandwidth=1e5, capacity=[[1.0, 2.0, 3.0]],
+                           span_bound=np.uint8(3)).with_span_bound(np.int64(2))
+    assert (inst.num_links, inst.num_channels, inst.span_bound) == (1, 3, 2)
+    assert all(type(v) is int
+               for v in (inst.num_links, inst.num_channels, inst.span_bound))
 
 
 def test_allocation_matrix_helpers():

@@ -77,3 +77,9 @@ def test_check_b_values():
         check_b_values([], 6)
     with pytest.raises(ValidationError):
         check_b_values([1, 4], 6, lower=3)
+    # a fractional bound is rejected, not truncated
+    with pytest.raises(ValidationError, match="span bound must be an integer"):
+        check_b_values([3.7, 6], 6)
+    with pytest.raises(ValidationError, match="span bound must be an integer"):
+        check_b_values([True, 6], 6)
+    assert check_b_values(np.array([2, 6]), 6) == (2, 6)

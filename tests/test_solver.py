@@ -1,4 +1,6 @@
 import concurrent.futures
+import itertools
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -540,14 +542,46 @@ def test_race_is_deterministic_under_thread_switching(monkeypatch):
 
 
 def test_race_error_in_a_turn_reaches_the_caller(monkeypatch):
-    def broken(*args):
-        raise RuntimeError("table build failed")
+    # only largest-first's tables fail, so the error comes from the later
+    # turn in which it joins the race
+    at_bound = solver._at_bound
 
-    monkeypatch.setattr(solver, "_largest_first", broken)
+    def broken(tables, i, b):
+        if i == 1:
+            raise RuntimeError("table build failed")
+        return at_bound(tables, i, b)
+
+    monkeypatch.setattr(solver, "_at_bound", broken)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="table build failed"):
         solve(_grid_instance(0, {"A", "B", "C"}, 8))
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("order", [0, 1], ids=["index", "largest-first"])
+def test_window_tables_match_their_definition(order):
+    # whole-number capacities, so that every window sum is exact
+    rng = np.random.default_rng(812)
+    cap = rng.integers(0, 40, size=(3, 9)).astype(float)
+    m_total = cap.shape[1]
+    tables = solver._Tables(_instance(cap))
+    for b in (1, 2, 4, 9):
+        t = solver._at_bound(tables, order, b)
+        for l in range(cap.shape[0]):
+            for p in range(m_total):
+                unvisited = t.visit[p:]
+                windows = [math.fsum(cap[l][m] for m in unvisited
+                                     if s <= m < s + b)
+                           for s in range(m_total - b + 1)]
+                assert t.best_window[l][p] == max(windows)
+                for a in range(-b + 1, m_total):
+                    for e in range(max(a, 0), m_total):
+                        want = list(itertools.accumulate(
+                            sorted((cap[l][m] for m in unvisited
+                                    if a <= m <= e), reverse=True),
+                            initial=0.0))
+                        got = t.window_topk(l, p, a, e)
+                        assert got[:b + 1] == want[:b + 1]
 
 
 def test_solver_tables_are_bound_to_their_matrix():
