@@ -44,8 +44,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET_EXHAUSTED = 3
 
 
-def _format_mbps(bits_per_s: float) -> str:
-    return f"{bits_per_s / 1e6:.6g}"
+def _format_mbps(bits_per_s) -> str:
+    return f"{float(bits_per_s) / 1e6:.6g}"
 
 
 def _parse_interferers(raw: str | None):
@@ -104,29 +104,25 @@ def _write_manifest(out_dir: Path, args, hashes: dict, seed, outputs,
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_allocation_csv(path: Path, link_ids, allocation: AllocationMatrix):
+def _write_csv(path: Path, header, rows):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["link"] + [f"ch{m + 1}" for m in range(allocation.num_channels)])
-        for l, link_id in enumerate(link_ids):
-            writer.writerow([link_id] + [int(x) for x in allocation.entries[l]])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_rates_csv(path: Path, link_ids, per_link):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link", "rate_mbps"])
-        for link_id, rate in zip(link_ids, per_link):
-            writer.writerow([link_id, _format_mbps(float(rate))])
+def _write_link_matrix_csv(path: Path, link_ids, values, cell):
+    """One row per link, one column per channel, each entry as `cell`."""
+    _write_csv(path, ["link"] + [f"ch{m + 1}" for m in range(values.shape[1])],
+               ([link_id] + [cell(x) for x in row]
+                for link_id, row in zip(link_ids, values)))
 
 
-def _write_channel_rates_csv(path: Path, link_ids, per_channel):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link"] + [f"ch{m + 1}" for m in range(per_channel.shape[1])])
-        for l, link_id in enumerate(link_ids):
-            writer.writerow([link_id] + [_format_mbps(float(x))
-                                         for x in per_channel[l]])
+def _write_link_column_csv(path: Path, link_ids, column: str, values):
+    """One row per link: its id and one value in Mbps."""
+    _write_csv(path, ["link", column],
+               ([link_id, _format_mbps(v)]
+                for link_id, v in zip(link_ids, values)))
 
 
 def _out_dir(args) -> Path:
@@ -147,10 +143,12 @@ def cmd_solve(args) -> int:
 
     out = _out_dir(args)
     link_ids = [link.id for link in cfg.links]
-    _write_allocation_csv(out / "allocation.csv", link_ids, result.allocation)
-    _write_rates_csv(out / "rates.csv", link_ids, result.rates.per_link)
-    _write_channel_rates_csv(out / "channel_rates.csv", link_ids,
-                             result.rates.per_channel)
+    _write_link_matrix_csv(out / "allocation.csv", link_ids,
+                           result.allocation.entries, int)
+    _write_link_column_csv(out / "rates.csv", link_ids, "rate_mbps",
+                           result.rates.per_link)
+    _write_link_matrix_csv(out / "channel_rates.csv", link_ids,
+                           result.rates.per_channel, _format_mbps)
     _write_manifest(out, args, {"config_sha256": config_sha}, cfg.rng_seed,
                     ["allocation.csv", "rates.csv", "channel_rates.csv"])
     print(f"maxmin_mbps={_format_mbps(result.maxmin)} "
@@ -176,14 +174,11 @@ def cmd_sweep(args) -> int:
                   workers=args.workers)
 
     out = _out_dir(args)
-    path = out / "tradeoff.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["b", "mean_maxmin_mbps", "std_maxmin_mbps"])
-        for i, b in enumerate(curve.b_values):
-            writer.writerow([b,
-                             _format_mbps(float(curve.mean_maxmin[i])),
-                             _format_mbps(float(curve.std_maxmin[i]))])
+    _write_csv(out / "tradeoff.csv",
+               ["b", "mean_maxmin_mbps", "std_maxmin_mbps"],
+               ([b, _format_mbps(mean), _format_mbps(std)]
+                for b, mean, std in zip(curve.b_values, curve.mean_maxmin,
+                                        curve.std_maxmin)))
     _write_manifest(out, args, {"config_sha256": config_sha}, cfg.rng_seed,
                     ["tradeoff.csv"])
     print(f"sweep b={list(curve.b_values)} realizations={curve.realizations} "
@@ -201,18 +196,15 @@ def cmd_realloc(args) -> int:
 
     out = _out_dir(args)
     link_ids = [link.id for link in cfg.links]
-    path = out / "realloc.csv"
     conditions = [
         ("baseline", result.baseline.rates.per_link),
         ("frozen", result.frozen_rates.per_link),
         ("reallocated", result.reallocated.rates.per_link),
     ]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "link", "rate_mbps"])
-        for condition, per_link in conditions:
-            for link_id, rate in zip(link_ids, per_link):
-                writer.writerow([condition, link_id, _format_mbps(float(rate))])
+    _write_csv(out / "realloc.csv", ["condition", "link", "rate_mbps"],
+               ([condition, link_id, _format_mbps(rate)]
+                for condition, per_link in conditions
+                for link_id, rate in zip(link_ids, per_link)))
     _write_manifest(out, args, {"config_sha256": config_sha}, cfg.rng_seed,
                     ["realloc.csv"],
                     frozen_still_optimal=result.frozen_still_optimal)
@@ -265,9 +257,7 @@ def cmd_guardband(args) -> int:
     ids_r, rate_values, rates_sha = _read_matrix_csv(rates_path)
     if ids_a != ids_r or alloc_values.shape != rate_values.shape:
         raise ValidationError("allocation and rates files do not line up")
-    if not np.isin(alloc_values, (0.0, 1.0)).all():
-        raise ValidationError("allocation entries must be 0 or 1")
-    allocation = AllocationMatrix(alloc_values.astype(np.int8))
+    allocation = AllocationMatrix(alloc_values)
     per_link = np.array([sequential_sum(row) for row in rate_values])
     rates = RateResult(per_channel=rate_values, per_link=per_link,
                        maxmin=float(per_link.min()) if per_link.size else 0.0)
@@ -277,20 +267,16 @@ def cmd_guardband(args) -> int:
                            "guardband bug")
 
     out = _out_dir(args)
-    _write_allocation_csv(out / "guarded_allocation.csv", ids_a,
-                          report.output_allocation)
-    with (out / "guardband_report.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["boundary_left", "boundary_right",
-                         "nulled_link", "nulled_channel"])
-        for event in report.nulled:
-            writer.writerow([event.boundary[0], event.boundary[1],
-                             ids_a[event.link], event.channel])
-    with (out / "guardband_deltas.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link", "rate_delta_mbps"])
-        for link_id, delta in zip(ids_a, report.rate_deltas):
-            writer.writerow([link_id, _format_mbps(float(delta))])
+    _write_link_matrix_csv(out / "guarded_allocation.csv", ids_a,
+                           report.output_allocation.entries, int)
+    _write_csv(out / "guardband_report.csv",
+               ["boundary_left", "boundary_right",
+                "nulled_link", "nulled_channel"],
+               ([event.boundary[0], event.boundary[1],
+                 ids_a[event.link], event.channel]
+                for event in report.nulled))
+    _write_link_column_csv(out / "guardband_deltas.csv", ids_a,
+                           "rate_delta_mbps", report.rate_deltas)
     _write_manifest(out, args,
                     {"input_sha256": {"allocation": alloc_sha,
                                       "rates": rates_sha}}, None,

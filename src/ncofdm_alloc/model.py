@@ -87,10 +87,13 @@ class LinkSpec:
             if self.tx is None or self.rx is None:
                 raise ValidationError(
                     f"link {self.id!r}: give both tx and rx, or a distance")
-            tx = (float(self.tx[0]), float(self.tx[1]))
-            rx = (float(self.rx[0]), float(self.rx[1]))
-            object.__setattr__(self, "tx", tx)
-            object.__setattr__(self, "rx", rx)
+            for key in ("tx", "rx"):
+                point = tuple(getattr(self, key))
+                if len(point) != 2:
+                    raise ValidationError(
+                        f"link {self.id!r}: {key} must be two numbers, "
+                        f"got {getattr(self, key)!r}")
+                object.__setattr__(self, key, tuple(float(v) for v in point))
             if not self.length() > 0:
                 raise ValidationError(
                     f"link {self.id!r}: tx and rx must not coincide")
@@ -287,7 +290,7 @@ class AllocationMatrix:
         a = np.array(self.entries)
         if a.ndim != 2:
             raise ValidationError("allocation must be 2-D")
-        if a.size and not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValidationError("allocation entries must be 0 or 1")
         a = a.astype(np.int8)
         a.setflags(write=False)
@@ -441,7 +444,7 @@ def spectral_span(row) -> int:
     arr = np.asarray(row)
     if arr.ndim != 1:
         raise ValidationError("row must be 1-D")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValidationError("row entries must be 0 or 1")
     occupied = np.flatnonzero(arr)
     if occupied.size == 0:

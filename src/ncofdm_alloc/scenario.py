@@ -10,8 +10,10 @@ reallocation comparison needs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -64,21 +66,6 @@ GRID4X12 = ScenarioConfig(
 
 BUILTIN_SCENARIOS = {"grid4x12": GRID4X12}
 
-_CONFIG_KEYS = {
-    "links", "num_channels", "channel_bandwidth", "temperature",
-    "tx_power_per_channel", "span_bound", "rng_seed",
-    "subcarriers_per_channel", "center_frequency", "rician_k_db",
-    "interferers",
-}
-_REQUIRED_KEYS = {
-    "links", "num_channels", "channel_bandwidth", "temperature",
-    "tx_power_per_channel", "span_bound", "rng_seed",
-}
-_INTEGER_KEYS = {"num_channels", "span_bound", "rng_seed",
-                 "subcarriers_per_channel"}
-_LINK_KEYS = {"id", "tx", "rx", "distance"}
-_INTERFERER_KEYS = {"name", "channels", "db_above_noise"}
-
 
 def builtin_scenario(name: str) -> ScenarioConfig:
     try:
@@ -94,23 +81,70 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     typo cannot silently fall back to a default, and so is a value of the
     wrong type."""
     try:
-        return _config_from_dict(data)
+        return _from_dict(ScenarioConfig, data, "")
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid config: {exc}") from exc
 
 
-def _list(value, key):
-    """A config value that must be a JSON array."""
-    if not isinstance(value, list):
-        raise ValidationError(f"{key} must be a list, got {value!r}")
-    return value
+def scenario_to_dict(cfg: ScenarioConfig) -> dict:
+    """The JSON form of a config: every field that is not None, in
+    declaration order, tuples as lists."""
+    return _to_json(cfg)
+
+
+# The spec dataclasses are the config schema: a field without a default is
+# a required key, and its annotation picks how a JSON value is read.
+
+def _fields(spec):
+    """(name, annotation, required) per field of a spec, in order."""
+    hints = typing.get_type_hints(spec)
+    return tuple((f.name, hints[f.name], f.default is dataclasses.MISSING
+                  and f.default_factory is dataclasses.MISSING)
+                 for f in dataclasses.fields(spec))
+
+
+_SCHEMA = {spec: _fields(spec)
+           for spec in (ScenarioConfig, LinkSpec, InterfererSpec)}
+
+
+def _from_dict(spec, data, key):
+    where = key or "config"
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    schema = _SCHEMA[spec]
+    unknown = set(data) - {name for name, _, _ in schema}
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [name for name, _, required in schema
+               if required and name not in data]
+    if missing:
+        raise ValidationError(f"{where}: missing keys {missing}")
+    prefix = f"{key}." if key else ""
+    return spec(**{name: _parse(hint, data[name], prefix + name)
+                   for name, hint, _ in schema if name in data})
+
+
+def _parse(hint, value, key):
+    """A JSON value read as the annotated type; `key` names it in errors."""
+    if type(None) in typing.get_args(hint):     # X | None: null is no value
+        hint = typing.get_args(hint)[0]
+    if hint in _SCHEMA:
+        return _from_dict(hint, value, key)
+    if typing.get_origin(hint) is tuple:
+        # tuple[X, ...] and tuple[X, X] alike are a list of X; a spec that
+        # needs a fixed length checks it
+        if not isinstance(value, list):
+            raise ValidationError(f"{key} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_parse(item, v, f"{key}[{i}]")
+                     for i, v in enumerate(value))
+    return _SCALARS[hint](value, key)
 
 
 def _integer(value, key):
-    """A config value that must be an integer: a JSON number without a
-    fractional part, and not a boolean."""
+    """A JSON number without a fractional part, and not a boolean."""
     if isinstance(value, bool) or not (
             isinstance(value, int)
             or isinstance(value, float) and value.is_integer()):
@@ -119,69 +153,22 @@ def _integer(value, key):
 
 
 def _number(value, key):
-    """A config value that must be a real number: a JSON number, and not a
-    boolean."""
+    """A JSON number, and not a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _config_from_dict(data):
-    if not isinstance(data, dict):
-        raise ValidationError("config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(data)
-    if missing:
-        raise ValidationError(f"missing config keys: {sorted(missing)}")
+_SCALARS = {int: _integer, float: _number, str: lambda value, key: str(value)}
 
-    links = []
-    for i, entry in enumerate(_list(data["links"], "links")):
-        if not isinstance(entry, dict):
-            raise ValidationError("each link must be an object")
-        unknown = set(entry) - _LINK_KEYS
-        if unknown:
-            raise ValidationError(
-                f"link {i}: unknown keys {sorted(unknown)}")
-        if "id" not in entry:
-            raise ValidationError(f"link {i}: missing id")
-        coords = {key: tuple(_number(v, f"link {i}: {key}")
-                             for v in _list(entry[key], f"link {i}: {key}"))
-                  for key in ("tx", "rx") if key in entry}
-        if "distance" in entry:
-            coords["distance"] = _number(entry["distance"],
-                                         f"link {i}: distance")
-        links.append(LinkSpec(id=str(entry["id"]), **coords))
 
-    interferers = []
-    for i, entry in enumerate(_list(data.get("interferers", []),
-                                    "interferers")):
-        if not isinstance(entry, dict):
-            raise ValidationError("each interferer must be an object")
-        unknown = set(entry) - _INTERFERER_KEYS
-        if unknown:
-            raise ValidationError(
-                f"interferer {i}: unknown keys {sorted(unknown)}")
-        missing = _INTERFERER_KEYS - set(entry)
-        if missing:
-            raise ValidationError(
-                f"interferer {i}: missing keys {sorted(missing)}")
-        interferers.append(InterfererSpec(
-            name=str(entry["name"]),
-            channels=tuple(_integer(c, f"interferer {i}: channels")
-                           for c in _list(entry["channels"],
-                                          f"interferer {i}: channels")),
-            db_above_noise=_number(entry["db_above_noise"],
-                                   f"interferer {i}: db_above_noise"),
-        ))
-
-    values = {}
-    for key in sorted(set(data) - {"links", "interferers"}):
-        check = _integer if key in _INTEGER_KEYS else _number
-        values[key] = check(data[key], key)
-    return ScenarioConfig(links=tuple(links), interferers=tuple(interferers),
-                          **values)
+def _to_json(value):
+    if type(value) in _SCHEMA:
+        return {name: _to_json(item) for name, _, _ in _SCHEMA[type(value)]
+                if (item := getattr(value, name)) is not None}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
 
 
 def read_scenario(path) -> tuple[ScenarioConfig, bytes]:
@@ -200,33 +187,6 @@ def read_scenario(path) -> tuple[ScenarioConfig, bytes]:
 
 def load_scenario(path) -> ScenarioConfig:
     return read_scenario(path)[0]
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    links = []
-    for link in cfg.links:
-        if link.distance is not None:
-            links.append({"id": link.id, "distance": link.distance})
-        else:
-            links.append({"id": link.id, "tx": list(link.tx),
-                          "rx": list(link.rx)})
-    return {
-        "links": links,
-        "num_channels": cfg.num_channels,
-        "channel_bandwidth": cfg.channel_bandwidth,
-        "temperature": cfg.temperature,
-        "tx_power_per_channel": cfg.tx_power_per_channel,
-        "span_bound": cfg.span_bound,
-        "rng_seed": cfg.rng_seed,
-        "subcarriers_per_channel": cfg.subcarriers_per_channel,
-        "center_frequency": cfg.center_frequency,
-        "rician_k_db": cfg.rician_k_db,
-        "interferers": [
-            {"name": s.name, "channels": list(s.channels),
-             "db_above_noise": s.db_above_noise}
-            for s in cfg.interferers
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

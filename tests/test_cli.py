@@ -81,6 +81,7 @@ def test_solve_malformed_config(tmp_path, capsys):
     # values of the wrong type, and booleans or fractions where a number
     # belongs, which must not be truncated; the error names the key
     for key, value in [("links", 5), ("distance", "far"), ("tx", 5),
+                       ("tx", [0]), ("tx", [0, 0, 5]),
                        ("num_channels", "x"), ("db_above_noise", "abc"),
                        ("subcarriers_per_channel", "4"),
                        ("num_channels", 12.7), ("span_bound", 4.9),

@@ -321,6 +321,14 @@ def test_link_spec_positions_and_distance():
         LinkSpec(id="d")
 
 
+@pytest.mark.parametrize("key", ["tx", "rx"])
+@pytest.mark.parametrize("point", [(), (0.0,), (0.0, 0.0, 5.0)])
+def test_link_spec_rejects_points_not_pairs(key, point):
+    coords = {"tx": (0.0, 0.0), "rx": (0.0, 1.0), key: point}
+    with pytest.raises(ValidationError, match=f"{key} must be two numbers"):
+        LinkSpec(id="a", **coords)
+
+
 def test_problem_instance_validation():
     with pytest.raises(ValidationError):
         _instance([[1.0, -2.0]])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -335,6 +337,50 @@ def test_scenario_dict_round_trip():
     cfg = builtin_scenario("grid4x12")
     rebuilt = scenario_from_dict(scenario_to_dict(cfg))
     assert rebuilt == cfg
+
+
+def _full_cfg():
+    """Every kind of config field: a positioned link, a distance link, two
+    interferers and non-default optional scalars."""
+    return _small_cfg(
+        links=(LinkSpec(id="P", tx=(0.0, 0.0), rx=(3.0, 4.0)),
+               LinkSpec(id="D", distance=2.5)),
+        subcarriers_per_channel=3,
+        center_frequency=2.4e9,
+        rician_k_db=10.0,
+        interferers=(InterfererSpec(name="X", channels=(1, 2),
+                                    db_above_noise=33.0),
+                     InterfererSpec(name="Y", channels=(5,),
+                                    db_above_noise=20.5)),
+    )
+
+
+def test_scenario_dict_round_trip_every_field():
+    cfg = _full_cfg()
+    data = json.loads(json.dumps(scenario_to_dict(cfg)))
+    assert scenario_from_dict(data) == cfg
+
+
+def test_scenario_dict_keys_are_the_fields_not_none():
+    def keys(spec):
+        return [f.name for f in dataclasses.fields(spec)
+                if getattr(spec, f.name) is not None]
+
+    cfg = _full_cfg()
+    data = json.loads(json.dumps(scenario_to_dict(cfg)))
+    assert list(data) == keys(cfg)
+    assert [list(d) for d in data["links"]] == [keys(l) for l in cfg.links]
+    assert data["links"] == [{"id": "P", "tx": [0.0, 0.0], "rx": [3.0, 4.0]},
+                             {"id": "D", "distance": 2.5}]
+    assert ([list(d) for d in data["interferers"]]
+            == [keys(s) for s in cfg.interferers])
+
+
+def test_builtin_config_hash_is_stable():
+    # the digest a manifest records for --scenario grid4x12
+    text = json.dumps(scenario_to_dict(GRID4X12), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "4860738946f416b93fd505906c564f9942c62e4ce0d91dca57dacc3f49b96d09")
 
 
 def test_scenario_from_dict_rejects_unknown_keys():
