@@ -153,10 +153,13 @@ def _integer(value, key):
 
 
 def _number(value, key):
-    """A JSON number, and not a boolean."""
+    """A JSON number within the range of a float, and not a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{key} is out of range for a float") from None
 
 
 _SCALARS = {int: _integer, float: _number, str: lambda value, key: str(value)}
@@ -178,9 +181,11 @@ def read_scenario(path) -> tuple[ScenarioConfig, bytes]:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal longer than the interpreter converts
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     return scenario_from_dict(data), raw
 
@@ -415,6 +420,8 @@ def sweep(cfg: ScenarioConfig,
     generator is derived up front from the seed, so results do not depend
     on scheduling.
     """
+    realizations = as_int(realizations, "realizations")
+    workers = as_int(workers, "workers")
     if realizations < 1:
         raise ValidationError("realizations must be >= 1")
     if workers < 1:

@@ -29,9 +29,10 @@ of `_SLICE_NODES` nodes (an algorithm portfolio, Gomes & Selman, AIJ
 allocation found so far, until one completes; it proves the result. Each
 search is a generator that yields when its turn is over, so both run in
 the caller's thread, one at a time. The two orders share one table
-pipeline and differ only in the visit permutation: each gathers a link's
-window top-k sums from its unvisited channels and keeps each gathered
-list for the later nodes that ask for the same window (see `_at_bound`).
+pipeline and differ only in the visit permutation: every bound reads the
+sums of the j largest unvisited capacities of a link, or of the best
+link per channel of a subset, within a window or not, gathered by one
+memoized function (see `_order`).
 
 A turn goes to the search that looks closer to done, by Knuth's estimate
 (Math. Comp. 1975) of the finished share d of its tree: the root weighs
@@ -54,11 +55,11 @@ runs alone.
 Several solves of one capacity matrix, such as the span bounds of one
 sweep realization, can share a `_Tables` of it. It holds each order's
 tables that depend only on the capacities, built on the order's first
-use: the visit order and the capacities in it, the tail top-k sums and
-the ranked channels they sum, and the reach, unvisited-range, exchange
-and subset tables. A search builds only what depends on b: the best
-window sums, the "leave unassigned" limits and the window memo, cut at
-b. The object also carries the race order: a race below b = M starts
+use: the visit order and the capacities in it, the best capacity per
+channel of each link and subset of links, the memo of top-k sums
+gathered from them, and the reach, unvisited-range, exchange and subset
+tables. A search builds only what depends on b: the best window sums.
+The object also carries the race order: a race below b = M starts
 with the order that completed the last proven race below b = M on it,
 and the other joins under the same gate and turn rules (largest-first
 alone at b >= M, and a truncated solve, record nothing). A fresh object
@@ -161,6 +162,7 @@ rejected before any table is built.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -350,22 +352,17 @@ def _greedy_candidate(cap, n, m_total, b):
 # ---------------------------------------------------------------------------
 
 class _PerDepth(dict):
-    """A table whose row for a depth is built by `build(depth)` on first
-    use, so set-up pays only for the depths a search reaches."""
+    """A table whose row for a key, a depth or a link mask, is built by
+    `build(key)` on first use, so set-up pays only for the rows a search
+    reads."""
 
     def __init__(self, build):
         super().__init__()
         self._build = build
 
-    def __missing__(self, depth):
-        row = self[depth] = self._build(depth)
+    def __missing__(self, key):
+        row = self[key] = self._build(key)
         return row
-
-
-def _topk_cums(values):
-    """[0, v1, v1 + v2, ...] over the values sorted largest first."""
-    return list(itertools.accumulate(sorted(values, reverse=True),
-                                     initial=0.0))
 
 
 def _unvisited_range(visit):
@@ -383,36 +380,66 @@ def _order(cap, visit):
     there sit at positions p..M-1; vcap is the capacity matrix with its
     columns in visit order.
 
-    tail_topk[l][p][j]: sum of the j largest of link l's unvisited
-    capacities, whose channels, largest capacity first, are ranked[l][p];
-    reach_pos[e]: the last position of a channel numbered at most e;
-    first[p]/final[p]: the lowest and highest unvisited channel at depth
-    p, and u_min[p]/u_max[p] those visited after depth p; margin, exchange
-    and below: the dominance margin and the pairwise-exchange bitmasks;
-    ssuf/mask_topk: the subset tables, and subsets_of[needy] the subsets
-    with a subset bound whose members are all needy."""
+    rows[mask][q]: the best capacity at position q over the links in mask
+    (link l is the mask 1 << l; the larger masks serve the subset bounds),
+    ranking[mask] the positions, best first, and ssuf[mask] the suffix
+    sums of rows[mask]; topk(mask, p, a, e): the sums [0, v1, v1 + v2, ...]
+    of rows[mask] over the unvisited channels numbered a..e, taken in
+    ranking order, so largest first; tails[p][mask]: topk over every
+    unvisited channel; reach_pos[e]: the last position of a channel
+    numbered at most e; first[p]/final[p]: the lowest and highest unvisited
+    channel at depth p, and u_min[p]/u_max[p] those visited after depth p;
+    margin, exchange and below: the dominance margin and the
+    pairwise-exchange bitmasks; subsets_of[needy]: the subsets with a
+    subset bound whose members are all needy.
+
+    The unvisited channels may be scattered over the index, so topk
+    gathers them from the ranking and keeps each list for every later
+    node, of any search of this order at any span bound, that asks for the
+    same channels: the window is clamped to [first[p], final[p]], so
+    windows that differ only outside it share one list, and one that
+    covers every unvisited channel is the tail. A tail is built on its
+    first use too. An anchored link's window is set by its range [lo, hi],
+    one of at most M·b, so a span bound adds at most N·M²·b lists of at
+    most 2b sums; the tails add one list per mask and depth."""
     n, m_total = len(cap), len(visit)
-    last = m_total - 1
     vcap = [[row[m] for m in visit] for row in cap]
-    tail_topk, ranked = [], []
-    for l in range(n):
-        desc, neg, chans = [], [], []
-        tops, ranks = [None] * m_total, [None] * m_total
-        for p in range(last, -1, -1):
-            c = vcap[l][p]
-            i = bisect.bisect_right(neg, -c)
-            neg.insert(i, -c)
-            desc.insert(i, c)
-            chans.insert(i, visit[p])
-            tops[p] = list(itertools.accumulate(desc, initial=0.0))
-            ranks[p] = chans[:]
-        tail_topk.append(tops)
-        ranked.append(ranks)
     position = [0] * m_total
     for p, m in enumerate(visit):
         position[m] = p
     reach_pos = list(itertools.accumulate(position, max))
     first, final = _unvisited_range(visit)
+    rows, ranking, ssuf = {}, {}, {}
+    for mask in (range(1, 1 << n) if n <= _MAX_SUBSET_LINKS
+                 else [1 << l for l in range(n)]):
+        members = [vcap[l] for l in range(n) if mask & (1 << l)]
+        # members[0] twice, so that max gets two arguments for one row
+        row = rows[mask] = list(map(max, members[0], *members))
+        ranking[mask] = sorted(range(m_total), key=row.__getitem__,
+                               reverse=True)
+        ssuf[mask] = list(itertools.accumulate(reversed(row),
+                                               initial=0.0))[::-1]
+    memo = {}
+
+    def topk(mask, p, a, e):
+        if a < first[p]:
+            a = first[p]
+        if e > final[p]:
+            e = final[p]
+        key = (mask, p, a, e)
+        sums = memo.get(key)
+        if sums is None:
+            row = rows[mask]
+            sums = memo[key] = [0.0]
+            total = 0.0
+            for q in ranking[mask]:
+                if q >= p and a <= visit[q] <= e:
+                    total += row[q]
+                    sums.append(total)
+        return sums
+
+    tails = [_PerDepth(functools.partial(topk, p=p, a=first[p], e=final[p]))
+             for p in range(m_total)]
     # pairwise exchange: exchange[p] = (better, worse), where better[l]
     # holds bit q when link l gains more than the margin by holding channel
     # visit[q] instead of visit[p], and worse[l] bit q when it loses more;
@@ -438,40 +465,24 @@ def _order(cap, visit):
     # below[c] holds the positions of the channels numbered under c
     below = list(itertools.accumulate((1 << p for p in position),
                                       operator.or_, initial=0))
-    # ssuf[mask][p]: suffix sums of the per-channel max over links in mask;
-    # mask_topk[mask][p][j]: sum of the j largest of those maxima in [p:]
-    ssuf = None
-    mask_topk = {}
-    if 2 <= n <= _MAX_SUBSET_LINKS:
-        ssuf = [[0.0] * (m_total + 1) for _ in range(1 << n)]
-        for mask in range(1, 1 << n):
-            rows = [vcap[l] for l in range(n) if mask & (1 << l)]
-            # rows[0] twice, so that max gets two arguments for one row
-            maxrow = list(map(max, rows[0], *rows))
-            row = ssuf[mask]
-            for k in range(last, -1, -1):
-                row[k] = row[k + 1] + maxrow[k]
-            if len(rows) >= 2:
-                mask_topk[mask] = [_topk_cums(maxrow[k:])
-                                   for k in range(m_total + 1)]
     subsets = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
-               for mask in mask_topk]
+               for mask in rows if mask & (mask - 1)]
     subsets_of = [[(mask, members, len(members))
                    for mask, members in subsets if mask & needy == mask]
                   for needy in range(1 << n)] if subsets else []
     return SimpleNamespace(visit=visit, position=position, vcap=vcap,
-                           tail_topk=tail_topk, ranked=ranked,
-                           reach_pos=reach_pos,
+                           topk=topk, tails=tails, reach_pos=reach_pos,
                            first=first, final=final, u_min=first[1:],
                            u_max=final[1:], exchange=_PerDepth(exchange_row),
                            below=below, margin=margin, ssuf=ssuf,
-                           mask_topk=mask_topk, subsets_of=subsets_of)
+                           subsets_of=subsets_of)
 
 
 class _Tables:
     """The solver tables of one capacity matrix that do not depend on the
     span bound, for every solve of that matrix. `order(i)` builds the part
-    of visit order i (0 index order, 1 largest-first) on its first use, and
+    of visit order i (0 index order, 1 largest-first) on its first use,
+    with the memo of top-k sums that its searches at every b share, and
     `_at_bound` the part that depends on b, per search. `lead` is the visit
     order that completed the last proven race below b = M; the next race
     starts with it."""
@@ -499,22 +510,9 @@ class _Tables:
 def _at_bound(tables, i, b):
     """The tables a search of visit order i at span bound b reads: the
     order's shared tables plus best_window[l][p], the best sum of unvisited
-    capacities in one width-b window; window_topk(l, p, a, e), the sums of
-    the j largest unvisited capacities in channels a..e, for j = 0 up to
-    their number or at least up to b; and dom_lo[p]/dom_hi[p], the "leave
-    unassigned" dominance limits.
-
-    The unvisited channels may be scattered over the index, so window
-    top-k sums are gathered from a link's unvisited channels, largest
-    first: O(N·M²) tables. A gathered list is kept for every later node
-    that asks for the same (link, depth, window); an anchored link's window
-    is set by its range [lo, hi], one of at most M·b, so the memo holds at
-    most N·M²·b lists of at most b + 1 sums. It is cut at b, so it belongs
-    to these tables and lives as long as the one search that reads them."""
+    capacities in one width-b window."""
     order = tables.order(i)
-    cap = tables.cap
-    visit, tail_topk, ranked = order.visit, order.tail_topk, order.ranked
-    first, final = order.first, order.final
+    visit = order.visit
     m_total = len(visit)
     # best_window[l][p]: the best width-b window sum of the capacities at
     # positions p..M-1, each window summed from position M-1 down
@@ -529,33 +527,7 @@ def _at_bound(tables, i, b):
                 wins[s] += row[p]
             best[p] = max(wins)
         best_window.append(best)
-    memo = {}
-
-    def window_topk(l, idx, a, e):
-        if a <= first[idx] and final[idx] <= e:
-            return tail_topk[l][idx]
-        key = (l, idx, a, e)
-        cums = memo.get(key)
-        if cums is None:
-            row = cap[l]
-            cums = memo[key] = [0.0]
-            total = 0.0
-            for m in ranked[l][idx]:
-                if a <= m <= e:
-                    total += row[m]
-                    cums.append(total)
-                    if len(cums) > b:
-                        break
-        return cums
-
-    # giving channel visit[p] to a link never costs a completion when the
-    # link's feasible window starts that can still hold a later channel stay
-    # feasible; those starts lie within the later channels' index range
-    dom_lo = [min(m_total - b, final[p + 1]) for p in range(m_total)]
-    dom_hi = [max(b - 1, first[p + 1]) for p in range(m_total)]
-    return SimpleNamespace(**vars(order), best_window=best_window,
-                           window_topk=window_topk, dom_lo=dom_lo,
-                           dom_hi=dom_hi)
+    return SimpleNamespace(**vars(order), best_window=best_window)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +589,6 @@ def solve(inst: ProblemInstance, *,
             best_value, best_total = value, total
 
     # --- DFS ------------------------------------------------------------
-    # a window wider than the band is the band: b is clamped to M
-    b = min(b, m_total)
     last = m_total - 1
     nodes = 0
     stop_at = node_budget
@@ -650,13 +620,12 @@ def solve(inst: ProblemInstance, *,
                 owner=owner, kids=kids, cap=t.vcap, cap_index=cap,
                 visit=t.visit, position=t.position, e_cache=e_cache,
                 k_cache=k_cache, slots_cache=slots_cache,
-                gain_cache=gain_cache, tail_topk=t.tail_topk,
-                best_window=t.best_window, window_topk=t.window_topk,
-                reach_pos=t.reach_pos, dom_lo=t.dom_lo, dom_hi=t.dom_hi,
+                gain_cache=gain_cache, tails=t.tails, topk=t.topk,
+                best_window=t.best_window, reach_pos=t.reach_pos,
                 u_min=t.u_min, u_max=t.u_max, exchange=t.exchange,
                 margin=t.margin, below=t.below, subsets_of=t.subsets_of,
-                ssuf=t.ssuf, mask_topk=t.mask_topk, b=b, n=n, m_total=m_total,
-                last=last, bisect_left=bisect.bisect_left):
+                ssuf=t.ssuf, b=b, n=n, m_total=m_total, last=last,
+                bisect_left=bisect.bisect_left):
             nonlocal nodes, best_owner, best_value, best_total
             if idx == m_total:
                 owners = [owner[p] for p in position]
@@ -693,16 +662,16 @@ def solve(inst: ProblemInstance, *,
                         e = last
                     e_cache[l] = reach_pos[e]
                     free = b - cnt[l]
-                    topk = window_topk(l, idx, hi[l] - b + 1, e)
-                    slots = len(topk) - 1
+                    sums = topk(1 << l, idx, hi[l] - b + 1, e)
+                    slots = len(sums) - 1
                     if slots > free:
                         slots = free
-                    gain = topk[slots]
+                    gain = sums[slots]
                 else:
                     e_cache[l] = last
                     slots = b if b < remaining else remaining
-                    topk = tail_topk[l][idx]
-                    gain = topk[slots]
+                    sums = tails[idx][1 << l]
+                    gain = sums[slots]
                     bw = best_window[l][idx]
                     if bw < gain:
                         gain = bw
@@ -712,8 +681,8 @@ def solve(inst: ProblemInstance, *,
                     return
                 deficit = inc - r_l - slack
                 if deficit > 0.0:
-                    # topk is nondecreasing: capacities are >= 0
-                    j = bisect_left(topk, deficit, 1, slots + 1)
+                    # sums is nondecreasing: capacities are >= 0
+                    j = bisect_left(sums, deficit, 1, slots + 1)
                     if j > slots:
                         return
                     needed += j
@@ -768,9 +737,9 @@ def solve(inst: ProblemInstance, *,
                         if start >= m_total:
                             break
                     cards = slots_s if slots_s < remaining else remaining
-                    topk_s = mask_topk[mask][idx]
-                    if len(topk_s) - 1 > cards:
-                        capped = topk_s[cards]
+                    sums = tails[idx][mask]
+                    if len(sums) - 1 > cards:
+                        capped = sums[cards]
                         if capped < cap_sum:
                             cap_sum = capped
                     if (rate_sum + cap_sum) / size < dead:
@@ -782,9 +751,14 @@ def solve(inst: ProblemInstance, *,
             # the margin takes the channel without losing a usable window
             # start
             m = visit[idx]
+            u_lo = u_min[idx]
+            u_hi = u_max[idx]
+            # giving channel m to a link never costs a completion when the
+            # link's feasible window starts that can still hold a later
+            # channel stay feasible; those starts lie within [u_lo, u_hi]
             none_dominated = False
-            d_lo = dom_lo[idx]
-            d_hi = dom_hi[idx]
+            d_lo = u_hi if u_hi < m_total - b else m_total - b
+            d_hi = u_lo if u_lo > b - 1 else b - 1
             # pairwise exchange. A link with range [lo, hi] can still reach
             # up to hi' = max(hi, min(u_hi, lo + b - 1)) and down to
             # lo' = min(lo, max(u_lo, hi - b + 1)), with [u_lo, u_hi] the
@@ -792,8 +766,6 @@ def solve(inst: ProblemInstance, *,
             # every completion when hi' - b < x < lo' + b. swappable: the
             # positions whose owner would rather have m, and which m fits
             # in every completion
-            u_lo = u_min[idx]
-            u_hi = u_max[idx]
             swappable = 0
             wanted, wants_m = exchange[idx]
             for o in range(n):

@@ -78,6 +78,19 @@ def test_solve_malformed_config(tmp_path, capsys):
     bad.write_bytes(b"\xff{}")                 # not UTF-8
     assert _run("solve", "--config", str(bad), "--out-dir", str(out)) == 2
     assert not out.exists()
+    # a number beyond the float range, and an integer literal longer than
+    # the interpreter converts (4300 digits)
+    cfg = scenario_to_dict(GRID4X12)
+    long_seed = json.dumps(dict(cfg, rng_seed=7)).replace(
+        '"rng_seed": 7', '"rng_seed": 1' + "0" * 5000)
+    for key, text in [("temperature",
+                       json.dumps(dict(cfg, temperature=10 ** 400))),
+                      ("JSON", long_seed)]:
+        bad.write_text(text)
+        assert _run("solve", "--config", str(bad),
+                    "--out-dir", str(out)) == 2, key
+        assert key in capsys.readouterr().err, key
+        assert not out.exists()
     # values of the wrong type, and booleans or fractions where a number
     # belongs, which must not be truncated; the error names the key
     for key, value in [("links", 5), ("distance", "far"), ("tx", 5),

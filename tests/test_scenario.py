@@ -311,6 +311,18 @@ def test_sweep_rejects_nonpositive_workers(workers):
         sweep(cfg, [3, 4], realizations=1, rng=42, workers=workers)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("realizations", 2.5), ("realizations", True), ("realizations", 1.0),
+    ("workers", 1.5), ("workers", True), ("workers", "2")])
+def test_sweep_counts_must_be_integers(name, value):
+    # a fraction, a boolean or a string is rejected, not truncated or read
+    # as 1
+    cfg = builtin_scenario("grid4x12")
+    kwargs = {"realizations": 1, "workers": 1, name: value}
+    with pytest.raises(ValidationError, match=name):
+        sweep(cfg, [3, 4], rng=42, **kwargs)
+
+
 def test_reallocation_reports_frozen_still_optimal():
     cfg = builtin_scenario("grid4x12")
     for seed, new, expected in ((3, "A", True), (9, "A", False)):

@@ -563,25 +563,42 @@ def test_window_tables_match_their_definition(order):
     # whole-number capacities, so that every window sum is exact
     rng = np.random.default_rng(812)
     cap = rng.integers(0, 40, size=(3, 9)).astype(float)
-    m_total = cap.shape[1]
+    n, m_total = cap.shape
     tables = solver._Tables(_instance(cap))
+
+    def topk(row, channels):
+        return list(itertools.accumulate(
+            sorted((row[m] for m in channels), reverse=True), initial=0.0))
+
     for b in (1, 2, 4, 9):
         t = solver._at_bound(tables, order, b)
-        for l in range(cap.shape[0]):
+        for l in range(n):
             for p in range(m_total):
                 unvisited = t.visit[p:]
                 windows = [math.fsum(cap[l][m] for m in unvisited
                                      if s <= m < s + b)
                            for s in range(m_total - b + 1)]
                 assert t.best_window[l][p] == max(windows)
-                for a in range(-b + 1, m_total):
-                    for e in range(max(a, 0), m_total):
-                        want = list(itertools.accumulate(
-                            sorted((cap[l][m] for m in unvisited
-                                    if a <= m <= e), reverse=True),
-                            initial=0.0))
-                        got = t.window_topk(l, p, a, e)
-                        assert got[:b + 1] == want[:b + 1]
+    t = tables.order(order)
+    for p in range(m_total):
+        unvisited = t.visit[p:]
+        # a subset's tail sums its members' per-channel maxima
+        for mask in range(1, 1 << n):
+            best = cap[[l for l in range(n) if mask >> l & 1]].max(axis=0)
+            assert t.tails[p][mask] == topk(best.tolist(), unvisited)
+        for l in range(n):
+            row = cap[l].tolist()
+            tail = t.tails[p][1 << l]
+            assert t.topk(1 << l, p, -m_total, 2 * m_total) is tail
+            for a in range(-m_total, m_total):
+                for e in range(max(a, 0), m_total + 2):
+                    got = t.topk(1 << l, p, a, e)
+                    assert got == topk(row, [m for m in unvisited
+                                             if a <= m <= e])
+                    # a window clamped to the unvisited range holds the
+                    # same channels, and gives the same list
+                    assert got is t.topk(1 << l, p, max(a, t.first[p]),
+                                         min(e, t.final[p]))
 
 
 def test_solver_tables_are_bound_to_their_matrix():
