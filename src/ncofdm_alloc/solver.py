@@ -92,6 +92,22 @@ more than a relative slack of 1e-12. Bounds add capacities in another
 order than the leaves, so a leaf can exceed its subtree's bound by an
 ulp, and a subtree whose bound only ties the incumbent is searched.
 
+A node's bound test, the per-link bounds, the counting cut and the subset
+bounds, is Python source generated once per link count and compiled once
+per process (`_bound_test`); each search binds it to its tables. It
+unrolls the loops over the links and the subsets into straight code on
+locals, and reads a memoized top-k list with one dict lookup, calling
+`topk` only on a miss. The full subset average stays one shared function,
+which keeps the source small (about 300 lines at four links). The test
+repeats every float operation of those loops in their order: a subset's
+rates are summed in member order, and its largest gain is taken by strict
+> in member order, each by extending the sum or maximum of the subset
+without its last member, whose block runs first. Both start from the
+first member rather than from 0.0, which changes no bit, since rates and
+gains are sums from 0.0 of capacities >= 0 and so never -0.0. A prune
+only ends the node, whichever bound makes it, so the test prunes exactly
+where the loops would, and every node count is theirs.
+
 A subset average is evaluated in full only when a cheap pre-test fails.
 The subset's capacity bound is at least each member's gain (the per-link
 bound less the link's rate): its suffix-sum segments cover every position
@@ -351,20 +367,6 @@ def _greedy_candidate(cap, n, m_total, b):
 # Visit orders
 # ---------------------------------------------------------------------------
 
-class _PerDepth(dict):
-    """A table whose row for a key, a depth or a link mask, is built by
-    `build(key)` on first use, so set-up pays only for the rows a search
-    reads."""
-
-    def __init__(self, build):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        row = self[key] = self._build(key)
-        return row
-
-
 def _unvisited_range(visit):
     """first[p], final[p]: the lowest and highest channel at positions
     p..M-1 of the visit order; M and -1 at p = M."""
@@ -385,23 +387,27 @@ def _order(cap, visit):
     ranking[mask] the positions, best first, and ssuf[mask] the suffix
     sums of rows[mask]; topk(mask, p, a, e): the sums [0, v1, v1 + v2, ...]
     of rows[mask] over the unvisited channels numbered a..e, taken in
-    ranking order, so largest first; tails[p][mask]: topk over every
-    unvisited channel; reach_pos[e]: the last position of a channel
-    numbered at most e; first[p]/final[p]: the lowest and highest unvisited
-    channel at depth p, and u_min[p]/u_max[p] those visited after depth p;
-    margin, exchange and below: the dominance margin and the
-    pairwise-exchange bitmasks; subsets_of[needy]: the subsets with a
-    subset bound whose members are all needy.
+    ranking order, so largest first; memo: its lists by (mask, p, a, e);
+    tails[p][mask]: topk over every unvisited channel, filled by the
+    search on first use; average: a subset's full average bound;
+    reach_pos[e]: the last position of a channel numbered at most e;
+    first[p]/final[p]: the lowest and highest unvisited channel at depth
+    p, and u_min[p]/u_max[p] those visited after depth p; margin, exchange
+    and below: the dominance margin and the pairwise-exchange bitmasks,
+    exchange[p] filled by the search from exchange_row(p) on its first
+    visit of depth p.
 
     The unvisited channels may be scattered over the index, so topk
-    gathers them from the ranking and keeps each list for every later
-    node, of any search of this order at any span bound, that asks for the
-    same channels: the window is clamped to [first[p], final[p]], so
-    windows that differ only outside it share one list, and one that
-    covers every unvisited channel is the tail. A tail is built on its
-    first use too. An anchored link's window is set by its range [lo, hi],
-    one of at most M·b, so a span bound adds at most N·M²·b lists of at
-    most 2b sums; the tails add one list per mask and depth."""
+    gathers them from the ranking, and stops once it has them all: their
+    count is that of the window's bits in a bitmask of the unvisited
+    channel numbers. It keeps each list for every later node, of any
+    search of this order at any span bound, that asks for the same
+    channels: the window is clamped to [first[p], final[p]], so windows
+    that differ only outside it share one list, and one that covers every
+    unvisited channel is the tail. An anchored link's window is set by its
+    range [lo, hi], one of at most M·b, so a span bound adds at most
+    N·M²·b lists of at most 2b sums; the tails add one list per mask and
+    depth."""
     n, m_total = len(cap), len(visit)
     vcap = [[row[m] for m in visit] for row in cap]
     position = [0] * m_total
@@ -419,7 +425,11 @@ def _order(cap, visit):
                                reverse=True)
         ssuf[mask] = list(itertools.accumulate(reversed(row),
                                                initial=0.0))[::-1]
+    # unvisited[p]: the channel numbers at positions p..M-1, one bit each
+    unvisited = list(itertools.accumulate((1 << m for m in reversed(visit)),
+                                          operator.or_, initial=0))[::-1]
     memo = {}
+    tails = [{} for _ in range(m_total)]
 
     def topk(mask, p, a, e):
         if a < first[p]:
@@ -429,21 +439,56 @@ def _order(cap, visit):
         key = (mask, p, a, e)
         sums = memo.get(key)
         if sums is None:
-            row = rows[mask]
             sums = memo[key] = [0.0]
-            total = 0.0
-            for q in ranking[mask]:
-                if q >= p and a <= visit[q] <= e:
-                    total += row[q]
-                    sums.append(total)
+            # the scan stops once it has every unvisited channel a..e
+            want = 0
+            if a <= e:
+                want = ((unvisited[p] >> a) & ((2 << (e - a)) - 1)).bit_count()
+            if want:
+                row = rows[mask]
+                total = 0.0
+                for q in ranking[mask]:
+                    if q >= p and a <= visit[q] <= e:
+                        total += row[q]
+                        sums.append(total)
+                        want -= 1
+                        if not want:
+                            break
         return sums
 
-    tails = [_PerDepth(functools.partial(topk, p=p, a=first[p], e=final[p]))
-             for p in range(m_total)]
+    def average(idx, mask, members, reach, rate_sum, slots):
+        """The subset average of mask at depth idx: the members' rate_sum
+        plus the capacity the subset can still reach, over its size.
+        reach[i] is the last position members[i] can reach, and slots the
+        members' free slots together."""
+        cur_mask = mask
+        start = idx
+        cap_sum = 0.0
+        # members by reach, stable on ties
+        for e, l in sorted(zip(reach, members)):
+            if start <= e:
+                srow = ssuf[cur_mask]
+                cap_sum += srow[start] - srow[e + 1]
+                start = e + 1
+            cur_mask &= ~(1 << l)
+            if start >= m_total:
+                break
+        remaining = m_total - idx
+        cards = slots if slots < remaining else remaining
+        tail = tails[idx]
+        sums = tail.get(mask)
+        if sums is None:
+            sums = tail[mask] = topk(mask, idx, first[idx], final[idx])
+        if len(sums) - 1 > cards:
+            capped = sums[cards]
+            if capped < cap_sum:
+                cap_sum = capped
+        return (rate_sum + cap_sum) / len(members)
+
     # pairwise exchange: exchange[p] = (better, worse), where better[l]
     # holds bit q when link l gains more than the margin by holding channel
     # visit[q] instead of visit[p], and worse[l] bit q when it loses more;
-    # a depth's row is built on its first visit
+    # the search fills a depth's row from exchange_row on its first visit
     margin = 1e-9 * math.fsum(itertools.chain.from_iterable(vcap))
     ranks = []
     for row in vcap:
@@ -465,17 +510,14 @@ def _order(cap, visit):
     # below[c] holds the positions of the channels numbered under c
     below = list(itertools.accumulate((1 << p for p in position),
                                       operator.or_, initial=0))
-    subsets = [(mask, tuple(l for l in range(n) if mask & (1 << l)))
-               for mask in rows if mask & (mask - 1)]
-    subsets_of = [[(mask, members, len(members))
-                   for mask, members in subsets if mask & needy == mask]
-                  for needy in range(1 << n)] if subsets else []
     return SimpleNamespace(visit=visit, position=position, vcap=vcap,
-                           topk=topk, tails=tails, reach_pos=reach_pos,
-                           first=first, final=final, u_min=first[1:],
-                           u_max=final[1:], exchange=_PerDepth(exchange_row),
-                           below=below, margin=margin, ssuf=ssuf,
-                           subsets_of=subsets_of)
+                           memo=memo, topk=topk, average=average,
+                           tails=tails,
+                           reach_pos=reach_pos, first=first, final=final,
+                           u_min=first[1:], u_max=final[1:],
+                           exchange=[None] * m_total,
+                           exchange_row=exchange_row, below=below,
+                           margin=margin)
 
 
 class _Tables:
@@ -528,6 +570,130 @@ def _at_bound(tables, i, b):
             best[p] = max(wins)
         best_window.append(best)
     return SimpleNamespace(**vars(order), best_window=best_window)
+
+
+# ---------------------------------------------------------------------------
+# The bound test of a node, generated per link count
+# ---------------------------------------------------------------------------
+
+# Link l's bound and its part of the counting cut, for a link at or below
+# the incumbent. An anchored link's windows start in [hi - b + 1, lo], so
+# it can still reach channels hi - b + 1..e, at most b - cnt of them; the
+# sums are nondecreasing (capacities are >= 0), so a bisection finds the
+# channels it needs. r{l}, s{l}, g{l}, k{l} and e{l}: its rate, slots,
+# gain, needed channels and last reachable position, for the subset blocks
+_LINK_SOURCE = """
+        r{l} = rate[{l}]
+        if r{l} <= inc:
+            c = cnt[{l}]
+            if c:
+                e = lo[{l}] + b - 1
+                e{l} = reach_pos[e if e < last else last]
+                a = hi[{l}] - b + 1
+                sums = memo_get(({bit}, idx, a if a > f else f,
+                                 e if e < fi else fi))
+                if sums is None:
+                    sums = topk({bit}, idx, a, e)
+                s{l} = len(sums) - 1
+                if s{l} > b - c:
+                    s{l} = b - c
+                g{l} = sums[s{l}]
+            else:
+                e{l} = last
+                s{l} = slots
+                sums = tail.get({bit})
+                if sums is None:
+                    sums = tail[{bit}] = topk({bit}, idx, f, fi)
+                g{l} = sums[s{l}]
+                if bw{l}[idx] < g{l}:
+                    g{l} = bw{l}[idx]
+            if r{l} + g{l} < dead:
+                return True
+            deficit = inc - r{l} - slack
+            k{l} = 0
+            if deficit > 0.0:
+                k{l} = bisect_left(sums, deficit, 1, s{l} + 1)
+                if k{l} > s{l}:
+                    return True
+                needed += k{l}
+            needy |= {bit}"""
+
+# One subset's counting cut, then its average unless the pre-test clears
+# it. Its reach, slots, needed channels, rate sum and largest gain (e_, s_,
+# k_, r_ and g_ with its mask) extend those of the subset without its last
+# member l, a link or a smaller subset whose block ran before, by l's
+_SUBSET_SOURCE = """
+        if needy & {mask} == {mask}:
+            e_{mask} = e{l} if e{l} > e{prev} else e{prev}
+            s_{mask} = s{prev} + s{l}
+            k_{mask} = k{prev} + k{l}
+            r_{mask} = r{prev} + r{l}
+            g_{mask} = g{l} if g{l} > g{prev} else g{prev}
+            reach = e_{mask} - idx + 1 if e_{mask} >= idx else 0
+            if k_{mask} > (reach if reach < s_{mask} else s_{mask}):
+                return True
+            if (r_{mask} + g_{mask} < {size} * dead + margin and average(
+                    idx, {mask}, {members}, ({reach}), r_{mask},
+                    s_{mask}) < dead):
+                return True"""
+
+
+def _bound_source(n):
+    """Python source of `bind`, which binds the bound test of a node with n
+    links to the tables of one search and its state lists. The test
+    returns True when the node is pruned. It unrolls the per-link bounds,
+    the counting cut and, for n <= `_MAX_SUBSET_LINKS`, one block per
+    subset of two or more links; the module docstring says how it stays
+    bit-identical to the loops it replaces."""
+    links = range(n)
+    windows = "".join(f", bw{l}=t.best_window[{l}]" for l in links)
+    out = [f"""
+def bind(rate, lo, hi, cnt, t, b, bisect_left):
+    def bound(idx, inc, rate=rate, lo=lo, hi=hi, cnt=cnt, b=b,
+              m_total=len(t.visit), last=len(t.visit) - 1,
+              memo_get=t.memo.get, topk=t.topk, tails=t.tails,
+              first=t.first, final=t.final, reach_pos=t.reach_pos,
+              average=t.average, margin=t.margin,
+              bisect_left=bisect_left{windows}):
+        remaining = m_total - idx
+        slack = inc * 1e-12
+        dead = inc - slack
+        slots = b if b < remaining else remaining
+        tail = tails[idx]
+        # the lowest and highest unvisited channel
+        f = first[idx]
+        fi = final[idx]
+        needed = 0
+        needy = 0"""]
+    out += [_LINK_SOURCE.format(l=l, bit=1 << l) for l in links]
+    out.append("""
+        if needed > remaining:
+            return True""")
+    subsets = range(3, 1 << n) if n <= _MAX_SUBSET_LINKS else ()
+    for mask in subsets:
+        members = [l for l in links if mask >> l & 1]
+        if len(members) < 2:
+            continue
+        *rest, l = members
+        prev = rest[0] if len(rest) == 1 else f"_{mask ^ 1 << l}"
+        out.append(_SUBSET_SOURCE.format(
+            mask=mask, l=l, prev=prev, size=len(members),
+            members=tuple(members),
+            reach=", ".join(f"e{m}" for m in members)))
+    out.append("""
+        return False
+    return bound
+""")
+    return "".join(out)
+
+
+@functools.cache
+def _bound_test(n):
+    """`bind` for n links, compiled once per process."""
+    namespace = {}
+    exec(compile(_bound_source(n), f"<bound test, {n} links>", "exec"),
+         namespace)
+    return namespace["bind"]
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +755,6 @@ def solve(inst: ProblemInstance, *,
             best_value, best_total = value, total
 
     # --- DFS ------------------------------------------------------------
-    last = m_total - 1
     nodes = 0
     stop_at = node_budget
 
@@ -606,10 +771,7 @@ def solve(inst: ProblemInstance, *,
         cnt = [0] * n
         # held[l]: the positions link l holds, one bit each
         held = [0] * n
-        e_cache = [0] * n
-        k_cache = [0] * n
-        slots_cache = [0] * n
-        gain_cache = [0.0] * n
+        bound = _bound_test(n)(rate, lo, hi, cnt, t, b, bisect.bisect_left)
 
         # kids[p]: the children of the node at depth p, in search order:
         # the links it gives channel visit[p] to, then -1 if it also leaves
@@ -618,14 +780,10 @@ def solve(inst: ProblemInstance, *,
 
         def dfs(idx, rate=rate, lo=lo, hi=hi, cnt=cnt, held=held,
                 owner=owner, kids=kids, cap=t.vcap, cap_index=cap,
-                visit=t.visit, position=t.position, e_cache=e_cache,
-                k_cache=k_cache, slots_cache=slots_cache,
-                gain_cache=gain_cache, tails=t.tails, topk=t.topk,
-                best_window=t.best_window, reach_pos=t.reach_pos,
+                visit=t.visit, position=t.position, bound=bound,
                 u_min=t.u_min, u_max=t.u_max, exchange=t.exchange,
-                margin=t.margin, below=t.below, subsets_of=t.subsets_of,
-                ssuf=t.ssuf, b=b, n=n, m_total=m_total, last=last,
-                bisect_left=bisect.bisect_left):
+                exchange_row=t.exchange_row, margin=t.margin,
+                below=t.below, b=b, n=n, m_total=m_total):
             nonlocal nodes, best_owner, best_value, best_total
             if idx == m_total:
                 owners = [owner[p] for p in position]
@@ -638,112 +796,9 @@ def solve(inst: ProblemInstance, *,
             nodes += 1
             if nodes > stop_at:
                 yield idx
-            inc = best_value
-            remaining = m_total - idx
-            # bound sums reorder the additions that produced the incumbent,
-            # so equality tests get a relative slack of a few hundred ulps
-            slack = inc * 1e-12
-            dead = inc - slack
-
-            # per-link bounds plus the counting cut
-            needed = 0
-            needy_mask = 0
-            for l in range(n):
-                r_l = rate[l]
-                if r_l > inc:
-                    # above the incumbent: the link's own bound cannot prune
-                    # and no subset bound reads it (see the module docstring)
-                    continue
-                if cnt[l]:
-                    # the link's windows start in [hi-b+1, lo], so it can
-                    # still reach channels hi-b+1..e, at most b - cnt of them
-                    e = lo[l] + b - 1
-                    if e > last:
-                        e = last
-                    e_cache[l] = reach_pos[e]
-                    free = b - cnt[l]
-                    sums = topk(1 << l, idx, hi[l] - b + 1, e)
-                    slots = len(sums) - 1
-                    if slots > free:
-                        slots = free
-                    gain = sums[slots]
-                else:
-                    e_cache[l] = last
-                    slots = b if b < remaining else remaining
-                    sums = tails[idx][1 << l]
-                    gain = sums[slots]
-                    bw = best_window[l][idx]
-                    if bw < gain:
-                        gain = bw
-                slots_cache[l] = slots
-                gain_cache[l] = gain
-                if r_l + gain < dead:
-                    return
-                deficit = inc - r_l - slack
-                if deficit > 0.0:
-                    # sums is nondecreasing: capacities are >= 0
-                    j = bisect_left(sums, deficit, 1, slots + 1)
-                    if j > slots:
-                        return
-                    needed += j
-                    k_cache[l] = j
-                else:
-                    k_cache[l] = 0
-                needy_mask |= 1 << l
-            if needed > remaining:
+            # per-link bounds, the counting cut and the subset bounds
+            if bound(idx, best_value):
                 return
-
-            # subset averages and subset counting, over needy links only (a
-            # subset whose members all exceed the incumbent can never prune,
-            # and mixed subsets are dominated by their needy core)
-            if needy_mask and subsets_of:
-                for mask, members, size in subsets_of[needy_mask]:
-                    rate_sum = 0.0
-                    needed_s = 0
-                    slots_s = 0
-                    e_max = -1
-                    g_max = 0.0
-                    for l in members:
-                        rate_sum += rate[l]
-                        needed_s += k_cache[l]
-                        slots_s += slots_cache[l]
-                        e = e_cache[l]
-                        if e > e_max:
-                            e_max = e
-                        gain = gain_cache[l]
-                        if gain > g_max:
-                            g_max = gain
-                    reach = e_max - idx + 1
-                    if reach < 0:
-                        reach = 0
-                    if needed_s > (reach if reach < slots_s else slots_s):
-                        return
-                    # the subset's capacity bound is at least any member's
-                    # gain, so this average cannot fall below dead (see the
-                    # module docstring)
-                    if rate_sum + g_max >= size * dead + margin:
-                        continue
-                    ordered = sorted(members, key=e_cache.__getitem__)
-                    cur_mask = mask
-                    start = idx
-                    cap_sum = 0.0
-                    for l in ordered:
-                        e = e_cache[l]
-                        if start <= e:
-                            srow = ssuf[cur_mask]
-                            cap_sum += srow[start] - srow[e + 1]
-                            start = e + 1
-                        cur_mask &= ~(1 << l)
-                        if start >= m_total:
-                            break
-                    cards = slots_s if slots_s < remaining else remaining
-                    sums = tails[idx][mask]
-                    if len(sums) - 1 > cards:
-                        capped = sums[cards]
-                        if capped < cap_sum:
-                            cap_sum = capped
-                    if (rate_sum + cap_sum) / size < dead:
-                        return
 
             # branch: poorest link first (stable sort keeps index order on
             # ties), the channel fitting when the link's range stays within
@@ -767,7 +822,10 @@ def solve(inst: ProblemInstance, *,
             # positions whose owner would rather have m, and which m fits
             # in every completion
             swappable = 0
-            wanted, wants_m = exchange[idx]
+            rows = exchange[idx]
+            if rows is None:
+                rows = exchange[idx] = exchange_row(idx)
+            wanted, wants_m = rows
             for o in range(n):
                 swaps = held[o] & wants_m[o]
                 if swaps and b < m_total:

@@ -1,8 +1,10 @@
+import bisect
 import concurrent.futures
 import itertools
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -520,6 +522,187 @@ def test_subset_bounds_match_oracle(n, slice_nodes):
         _assert_matches_oracle(_instance(cap, int(rng.integers(1, m + 1))))
 
 
+# per link count n, the nodes of a uniform draw and, for n <= 3, a draw of
+# tenths that tie often, on 12 channels at b = 1, 6 and 12; recorded with
+# the per-link and per-subset bounds evaluated in loops
+_LINK_COUNT_NODES = {
+    (1, "uniform"): [31, 35, 12],
+    (1, "tenths"): [59, 75, 13],
+    (2, "uniform"): [109, 41, 43],
+    (2, "tenths"): [290, 168, 201],
+    (3, "uniform"): [462, 139, 169],
+    (3, "tenths"): [930, 912, 2580],
+    (7, "uniform"): [2775, 10867, 3601],
+    (8, "uniform"): [2458, 7474, 2368],
+}
+
+
+@pytest.mark.parametrize("n, kind", sorted(_LINK_COUNT_NODES))
+def test_link_count_node_counts_pinned(n, kind):
+    rng = np.random.default_rng(100 + n)
+    draws = {"uniform": rng.uniform(0, 1, size=(n, 12)),
+             "tenths": rng.integers(0, 4, size=(n, 12)) * 0.1}
+    nodes = [solve(_instance(draws[kind], b)).nodes_explored
+             for b in (1, 6, 12)]
+    assert nodes == _LINK_COUNT_NODES[n, kind]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_link_count_matches_oracle(n):
+    # every generated bound test, with and without subset blocks, on at
+    # most 6e4 oracle leaves
+    rng = np.random.default_rng(1300 + n)
+    m_max = max(m for m in range(2, 9) if (n + 1) ** m <= 60_000)
+    for case in range(9):
+        m = int(rng.integers(2, m_max + 1))
+        kind = case % 3
+        if kind == 0:
+            cap = rng.uniform(0, 1, size=(n, m))
+        elif kind == 1:
+            cap = rng.integers(0, 4, size=(n, m)) * 0.1
+        else:
+            cap = 1 + rng.integers(0, 4, size=(n, m)) * 1e-6
+        _assert_matches_oracle(_instance(cap, int(rng.integers(1, m + 1))))
+
+
+def test_bound_test_is_compiled_once_per_link_count(monkeypatch):
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(solver, "compile", counting_compile, raising=False)
+    solver._bound_test.cache_clear()
+    rng = np.random.default_rng(33)
+    # several solves, searches and span bounds per link count; one-node
+    # turns make both visit orders search
+    monkeypatch.setattr(solver, "_SLICE_NODES", 1)
+    for n in (2, 3, 2, 3):
+        cap = rng.uniform(0, 1, size=(n, 6))
+        for b in (2, 4, 6):
+            assert solve(_instance(cap, b)).proven_optimal
+    assert compiled == ["<bound test, 2 links>", "<bound test, 3 links>"]
+    assert solver._bound_test(3) is solver._bound_test(3)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bound_source_compiles_without_warnings(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(solver._bound_source(n), "<bound test>", "exec")
+
+
+def _loop_bound(t, b, rate, lo, hi, cnt, idx, inc):
+    """The bound test of a node as loops over the links and the subsets,
+    which the generated test unrolls: True when the node is pruned."""
+    n, m_total = len(rate), len(t.visit)
+    last, remaining = m_total - 1, m_total - idx
+    slack = inc * 1e-12
+    dead = inc - slack
+    e_of, k_of, slots_of, gain_of = {}, {}, {}, {}
+    needed = 0
+    for l in range(n):
+        if rate[l] > inc:
+            continue
+        if cnt[l]:
+            e = min(lo[l] + b - 1, last)
+            e_of[l] = t.reach_pos[e]
+            sums = t.topk(1 << l, idx, hi[l] - b + 1, e)
+            slots = min(len(sums) - 1, b - cnt[l])
+            gain = sums[slots]
+        else:
+            e_of[l] = last
+            slots = min(b, remaining)
+            sums = t.topk(1 << l, idx, t.first[idx], t.final[idx])
+            gain = min(sums[slots], t.best_window[l][idx])
+        slots_of[l], gain_of[l] = slots, gain
+        if rate[l] + gain < dead:
+            return True
+        deficit = inc - rate[l] - slack
+        k_of[l] = 0
+        if deficit > 0.0:
+            k_of[l] = bisect.bisect_left(sums, deficit, 1, slots + 1)
+            if k_of[l] > slots:
+                return True
+        needed += k_of[l]
+    if needed > remaining:
+        return True
+    if n > solver._MAX_SUBSET_LINKS:
+        return False
+    for mask in range(1, 1 << n):
+        members = [l for l in range(n) if mask >> l & 1]
+        if len(members) < 2 or any(l not in e_of for l in members):
+            continue
+        rate_sum, g_max = 0.0, 0.0
+        for l in members:
+            rate_sum += rate[l]
+            if gain_of[l] > g_max:
+                g_max = gain_of[l]
+        slots = sum(slots_of[l] for l in members)
+        reach = max(0, max(e_of[l] for l in members) - idx + 1)
+        if sum(k_of[l] for l in members) > min(reach, slots):
+            return True
+        if rate_sum + g_max >= len(members) * dead + t.margin:
+            continue
+        # the subset's best capacity per position, and its suffix sums
+        cap_sum, start, rest = 0.0, idx, set(members)
+        for l in sorted(members, key=e_of.__getitem__):
+            if start <= e_of[l]:
+                row = [max(t.vcap[o][q] for o in members if o in rest)
+                       for q in range(m_total)]
+                suffix = list(itertools.accumulate(reversed(row),
+                                                   initial=0.0))[::-1]
+                cap_sum += suffix[start] - suffix[e_of[l] + 1]
+                start = e_of[l] + 1
+            rest.remove(l)
+            if start >= m_total:
+                break
+        sums = t.topk(mask, idx, t.first[idx], t.final[idx])
+        if len(sums) - 1 > min(slots, remaining):
+            cap_sum = min(cap_sum, sums[min(slots, remaining)])
+        if (rate_sum + cap_sum) / len(members) < dead:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bound_test_matches_its_loops(n):
+    # random search states of both visit orders: rates, ranges and counts
+    # from a random partial assignment within the span bound
+    rng = np.random.default_rng(1400 + n)
+    outcomes = []
+    for case in range(4):
+        m = int(rng.integers(4, 11))
+        cap = (rng.uniform(0, 1, size=(n, m)) if case % 2
+               else rng.integers(0, 4, size=(n, m)) * 0.1)
+        b = int(rng.integers(1, m + 1))
+        tables = solver._Tables(_instance(cap, b))
+        for order in (0, 1):
+            t = solver._at_bound(tables, order, b)
+            for _ in range(150):
+                idx = int(rng.integers(0, m))
+                rate, lo, hi, cnt = [0.0] * n, [m] * n, [-1] * n, [0] * n
+                for p in range(idx):
+                    l, c = int(rng.integers(-1, n)), t.visit[p]
+                    if l >= 0 and max(hi[l], c) - min(lo[l], c) < b:
+                        rate[l] += t.vcap[l][p]
+                        lo[l], hi[l] = min(lo[l], c), max(hi[l], c)
+                        cnt[l] += 1
+                # about the smallest link's optimistic rate, so that many
+                # states pass the per-link bounds and reach the subsets
+                ceiling = min(r + sum(sorted(row[idx:])[::-1][:b])
+                              for r, row in zip(rate, t.vcap))
+                inc = ceiling * float(rng.uniform(0.5, 1.05))
+                bound = solver._bound_test(n)(rate, lo, hi, cnt, t, b,
+                                              bisect.bisect_left)
+                pruned = bound(idx, inc)
+                assert pruned == _loop_bound(t, b, rate, lo, hi, cnt, idx,
+                                             inc)
+                outcomes.append(pruned)
+    assert True in outcomes and False in outcomes
+
+
 def test_race_is_deterministic_under_thread_switching(monkeypatch):
     # the two searches share the incumbent and the node count; they must
     # hand over strictly, whatever the interpreter's thread switching, and
@@ -559,12 +742,15 @@ def test_race_error_in_a_turn_reaches_the_caller(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [0, 1], ids=["index", "largest-first"])
-def test_window_tables_match_their_definition(order):
+def test_window_tables_match_their_definition(order, monkeypatch):
     # whole-number capacities, so that every window sum is exact
     rng = np.random.default_rng(812)
     cap = rng.integers(0, 40, size=(3, 9)).astype(float)
     n, m_total = cap.shape
     tables = solver._Tables(_instance(cap))
+    # one-node turns, so that both orders search and fill their tails
+    monkeypatch.setattr(solver, "_SLICE_NODES", 1)
+    assert solve(_instance(cap, 4), tables=tables).proven_optimal
 
     def topk(row, channels):
         return list(itertools.accumulate(
@@ -580,15 +766,21 @@ def test_window_tables_match_their_definition(order):
                            for s in range(m_total - b + 1)]
                 assert t.best_window[l][p] == max(windows)
     t = tables.order(order)
+    # a tail the search built is the memo's list of every unvisited channel
+    assert any(t.tails)
+    for p, row in enumerate(t.tails):
+        for mask, tail in row.items():
+            assert tail is t.topk(mask, p, t.first[p], t.final[p])
     for p in range(m_total):
         unvisited = t.visit[p:]
         # a subset's tail sums its members' per-channel maxima
         for mask in range(1, 1 << n):
             best = cap[[l for l in range(n) if mask >> l & 1]].max(axis=0)
-            assert t.tails[p][mask] == topk(best.tolist(), unvisited)
+            assert (t.topk(mask, p, t.first[p], t.final[p])
+                    == topk(best.tolist(), unvisited))
         for l in range(n):
             row = cap[l].tolist()
-            tail = t.tails[p][1 << l]
+            tail = t.topk(1 << l, p, t.first[p], t.final[p])
             assert t.topk(1 << l, p, -m_total, 2 * m_total) is tail
             for a in range(-m_total, m_total):
                 for e in range(max(a, 0), m_total + 2):
