@@ -98,27 +98,31 @@ per process (`_bound_test`); each search binds it to its tables. It
 unrolls the loops over the links and the subsets into straight code on
 locals, and reads a memoized top-k list with one dict lookup, calling
 `topk` only on a miss. The full subset average stays one shared function,
-which keeps the source small (about 300 lines at four links). The test
+which keeps the source small (about 330 lines at four links). The test
 repeats every float operation of those loops in their order: a subset's
-rates are summed in member order, and its largest gain is taken by strict
-> in member order, each by extending the sum or maximum of the subset
-without its last member, whose block runs first. Both start from the
-first member rather than from 0.0, which changes no bit, since rates and
-gains are sums from 0.0 of capacities >= 0 and so never -0.0. A prune
-only ends the node, whichever bound makes it, so the test prunes exactly
-where the loops would, and every node count is theirs.
+rates are summed in member order, by extending the sum of the subset
+without its last member, whose block runs first. The sum starts from the
+first member rather than from 0.0, which changes no bit, since rates are
+sums from 0.0 of capacities >= 0 and so never -0.0. The counting cut is
+tested each time a link adds its needs; they only grow, so it fails there
+exactly when it fails over all links. A prune only ends the node,
+whichever bound makes it, so the test prunes exactly where the loops
+would, and every node count is theirs.
 
 A subset average is evaluated in full only when a cheap pre-test fails.
-The subset's capacity bound is at least each member's gain (the per-link
-bound less the link's rate): its suffix-sum segments cover every position
-the member reaches with the member in their mask, and its top-k cap takes
-at least as many per-channel maxima as the member has slots. So when the
-members' rates plus the largest gain reach the subset's size times the
-pruning threshold (the incumbent less the slack), plus the margin of the
-dominance rules below, the average cannot prune: that margin lies far
-above the rounding of these sums, at most about M ulps of the total
-capacity. The pre-test clears only subsets that could never have pruned,
-so every prune, and every node count, is as without it.
+Each member l keeps the top-k list u_l its own bound read (its window's
+when anchored, the tail's otherwise). With s the members' slots together,
+the subset's capacity bound is at least u_l[min(s, len(u_l) - 1)]: its
+suffix-sum segments cover every position in [idx, e_l] with l in their
+mask, so they add up to at least u_l's last sum, and its top-k cap takes
+min(s, remaining) per-channel maxima over every unvisited channel, so at
+least that many of l's largest. So when the members' rates plus one such
+sum reach the subset's size times the pruning threshold (the incumbent
+less the slack), plus the margin of the dominance rules below, the
+average cannot prune: that margin lies far above the rounding of these
+sums, at most about M ulps of the total capacity. The pre-test clears
+only subsets that could never have pruned, so every prune, and every node
+count, is as without it.
 
 Per-link bounds are computed only for links at or below the incumbent. A
 link above it cannot prune by its own bound, which is its rate plus a
@@ -169,10 +173,14 @@ tie order (which, for instance, prefers a channel unassigned).
   one AND per link, a branch one more, and the span test runs only on
   the surviving bits.
 
-The search recurses once per channel, a chain of generators that counts
-against the interpreter's recursion limit as calls do, so instances with
-more channels than that limit allows, less `_STACK_MARGIN` frames, are
-rejected before any table is built.
+A node's entry, its count, the end of a turn past the turn's last node,
+and its bound test, runs in its parent's branch loop (the root's in
+`search`), and a parent ranks its leaf children there too, so only a
+node that branches is a generator. The search recurses once per channel,
+a chain of generators that counts against the interpreter's recursion
+limit as calls do, so instances with more channels than that limit
+allows, less `_STACK_MARGIN` frames, are rejected before any table is
+built.
 """
 
 from __future__ import annotations
@@ -195,6 +203,7 @@ from .model import (
     RateResult,
     ValidationError,
     as_allocation,
+    as_int,
     evaluate_rates,
     link_rate,
     sequential_sum,
@@ -580,8 +589,9 @@ def _at_bound(tables, i, b):
 # the incumbent. An anchored link's windows start in [hi - b + 1, lo], so
 # it can still reach channels hi - b + 1..e, at most b - cnt of them; the
 # sums are nondecreasing (capacities are >= 0), so a bisection finds the
-# channels it needs. r{l}, s{l}, g{l}, k{l} and e{l}: its rate, slots,
-# gain, needed channels and last reachable position, for the subset blocks
+# channels it needs. r{l}, s{l}, k{l} and e{l}: its rate, slots, needed
+# channels and last reachable position, and u{l} and n{l} its top-k list
+# and that list's last index, for the subset blocks
 _LINK_SOURCE = """
         r{l} = rate[{l}]
         if r{l} <= inc:
@@ -590,51 +600,55 @@ _LINK_SOURCE = """
                 e = lo[{l}] + b - 1
                 e{l} = reach_pos[e if e < last else last]
                 a = hi[{l}] - b + 1
-                sums = memo_get(({bit}, idx, a if a > f else f,
+                u{l} = memo_get(({bit}, idx, a if a > f else f,
                                  e if e < fi else fi))
-                if sums is None:
-                    sums = topk({bit}, idx, a, e)
-                s{l} = len(sums) - 1
+                if u{l} is None:
+                    u{l} = topk({bit}, idx, a, e)
+                n{l} = s{l} = len(u{l}) - 1
                 if s{l} > b - c:
                     s{l} = b - c
-                g{l} = sums[s{l}]
+                g = u{l}[s{l}]
             else:
                 e{l} = last
                 s{l} = slots
-                sums = tail.get({bit})
-                if sums is None:
-                    sums = tail[{bit}] = topk({bit}, idx, f, fi)
-                g{l} = sums[s{l}]
-                if bw{l}[idx] < g{l}:
-                    g{l} = bw{l}[idx]
-            if r{l} + g{l} < dead:
+                n{l} = remaining
+                u{l} = tail.get({bit})
+                if u{l} is None:
+                    u{l} = tail[{bit}] = topk({bit}, idx, f, fi)
+                g = u{l}[s{l}]
+                if bw{l}[idx] < g:
+                    g = bw{l}[idx]
+            if r{l} + g < dead:
                 return True
             deficit = inc - r{l} - slack
             k{l} = 0
             if deficit > 0.0:
-                k{l} = bisect_left(sums, deficit, 1, s{l} + 1)
+                k{l} = bisect_left(u{l}, deficit, 1, s{l} + 1)
                 if k{l} > s{l}:
                     return True
                 needed += k{l}
+                if needed > remaining:
+                    return True
             needy |= {bit}"""
 
 # One subset's counting cut, then its average unless the pre-test clears
-# it. Its reach, slots, needed channels, rate sum and largest gain (e_, s_,
-# k_, r_ and g_ with its mask) extend those of the subset without its last
-# member l, a link or a smaller subset whose block ran before, by l's
+# it: some member's top-k sum at the subset's slots reaches top. Its
+# reach, slots, needed channels and rate sum (e_, s_, k_ and r_ with its
+# mask) extend those of the subset without its last member l, a link or a
+# smaller subset whose block ran before, by l's
 _SUBSET_SOURCE = """
         if needy & {mask} == {mask}:
             e_{mask} = e{l} if e{l} > e{prev} else e{prev}
             s_{mask} = s{prev} + s{l}
             k_{mask} = k{prev} + k{l}
             r_{mask} = r{prev} + r{l}
-            g_{mask} = g{l} if g{l} > g{prev} else g{prev}
             reach = e_{mask} - idx + 1 if e_{mask} >= idx else 0
             if k_{mask} > (reach if reach < s_{mask} else s_{mask}):
                 return True
-            if (r_{mask} + g_{mask} < {size} * dead + margin and average(
-                    idx, {mask}, {members}, ({reach}), r_{mask},
-                    s_{mask}) < dead):
+            top = {size} * dead + margin - r_{mask}
+            if ({clear}
+                    and average(idx, {mask}, {members}, ({reach}),
+                                r_{mask}, s_{mask}) < dead):
                 return True"""
 
 
@@ -666,9 +680,6 @@ def bind(rate, lo, hi, cnt, t, b, bisect_left):
         needed = 0
         needy = 0"""]
     out += [_LINK_SOURCE.format(l=l, bit=1 << l) for l in links]
-    out.append("""
-        if needed > remaining:
-            return True""")
     subsets = range(3, 1 << n) if n <= _MAX_SUBSET_LINKS else ()
     for mask in subsets:
         members = [l for l in links if mask >> l & 1]
@@ -679,7 +690,10 @@ def bind(rate, lo, hi, cnt, t, b, bisect_left):
         out.append(_SUBSET_SOURCE.format(
             mask=mask, l=l, prev=prev, size=len(members),
             members=tuple(members),
-            reach=", ".join(f"e{m}" for m in members)))
+            reach=", ".join(f"e{m}" for m in members),
+            clear="\n                    and ".join(
+                f"u{m}[s_{mask} if s_{mask} < n{m} else n{m}] < top"
+                for m in members)))
     out.append("""
         return False
     return bound
@@ -720,6 +734,7 @@ def solve(inst: ProblemInstance, *,
     """
     t_start = time.perf_counter()
     n, m_total, b = inst.num_links, inst.num_channels, inst.span_bound
+    node_budget = as_int(node_budget, "node_budget")
     if node_budget < 0:
         raise ValidationError("node_budget must be >= 0")
     max_channels = sys.getrecursionlimit() - _STACK_MARGIN
@@ -784,22 +799,9 @@ def solve(inst: ProblemInstance, *,
                 u_min=t.u_min, u_max=t.u_max, exchange=t.exchange,
                 exchange_row=t.exchange_row, margin=t.margin,
                 below=t.below, b=b, n=n, m_total=m_total):
+            """The node at depth idx past its entry, which its parent ran:
+            its branching and its children."""
             nonlocal nodes, best_owner, best_value, best_total
-            if idx == m_total:
-                owners = [owner[p] for p in position]
-                value, total = _metric(owners, cap_index, n, m_total)
-                if _beats(n, value, total, owners, best_value, best_total,
-                          best_owner):
-                    best_owner = owners
-                    best_value, best_total = value, total
-                return
-            nodes += 1
-            if nodes > stop_at:
-                yield idx
-            # per-link bounds, the counting cut and the subset bounds
-            if bound(idx, best_value):
-                return
-
             # branch: poorest link first (stable sort keeps index order on
             # ties), the channel fitting when the link's range stays within
             # b; unassigned last, unless some link with a capacity above
@@ -889,29 +891,56 @@ def solve(inst: ProblemInstance, *,
             if not none_dominated:
                 branch.append(-1)
             kids[idx] = branch
+            child = idx + 1
+            if child == m_total:
+                # the children are leaves, ranked by the owner vector alone
+                for l in branch:
+                    owner[idx] = l
+                    owners = [owner[p] for p in position]
+                    value, total = _metric(owners, cap_index, n, m_total)
+                    if _beats(n, value, total, owners, best_value,
+                              best_total, best_owner):
+                        best_owner = owners
+                        best_value, best_total = value, total
+                return
             for l in branch:
                 owner[idx] = l
-                if l < 0:
-                    yield from dfs(idx + 1)
-                    break
-                lo_l = lo[l]
-                hi_l = hi[l]
-                old_rate = rate[l]
-                old_held = held[l]
-                rate[l] = old_rate + cap[l][idx]
-                lo[l] = m if m < lo_l else lo_l
-                hi[l] = m if m > hi_l else hi_l
-                cnt[l] += 1
-                held[l] = old_held | 1 << idx
-                yield from dfs(idx + 1)
-                rate[l] = old_rate
-                lo[l] = lo_l
-                hi[l] = hi_l
-                cnt[l] -= 1
-                held[l] = old_held
+                if l >= 0:
+                    lo_l = lo[l]
+                    hi_l = hi[l]
+                    old_rate = rate[l]
+                    old_held = held[l]
+                    rate[l] = old_rate + cap[l][idx]
+                    lo[l] = m if m < lo_l else lo_l
+                    hi[l] = m if m > hi_l else hi_l
+                    cnt[l] += 1
+                    held[l] = old_held | 1 << idx
+                # the child's entry: it counts, ends the turn past stop_at,
+                # and is searched unless its bound test prunes it
+                nodes += 1
+                if nodes > stop_at:
+                    yield child
+                if not bound(child, best_value):
+                    yield from dfs(child)
+                if l >= 0:
+                    rate[l] = old_rate
+                    lo[l] = lo_l
+                    hi[l] = hi_l
+                    cnt[l] -= 1
+                    held[l] = old_held
+
+        def root():
+            """The root's entry, as a parent runs each child's, then its
+            search."""
+            nonlocal nodes
+            nodes += 1
+            if nodes > stop_at:
+                yield 0
+            if not bound(0, best_value):
+                yield from dfs(0)
 
         try:
-            for depth in dfs(0):
+            for depth in root():
                 # Knuth's estimate of the finished share of the tree: the
                 # root weighs 1, and each node splits its weight evenly over
                 # its children; the children left of the path are finished

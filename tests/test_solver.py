@@ -136,6 +136,14 @@ def test_node_budget_degrades_gracefully():
     assert res.maxmin <= full.maxmin
 
 
+@pytest.mark.parametrize("budget", [float("nan"), True, 2.5, None, "5", -1])
+def test_node_budget_must_be_a_nonnegative_integer(budget):
+    inst = _instance(np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="node_budget"):
+        solve(inst, node_budget=budget)
+    assert solve(inst, node_budget=np.int64(1_000)).proven_optimal
+
+
 def test_block_candidates_tied_in_value_and_total_keep_the_tie_order():
     # every block matching of equal capacities ties in maxmin and total, so
     # the first incumbent, returned at once with no node to search, is the
@@ -450,8 +458,7 @@ _GRID_B4_PINS = {
 }
 
 
-@pytest.mark.parametrize("seed", range(1, 9))
-def test_grid_b4_realloc_node_counts_pinned(seed):
+def _grid_b4_results(seed):
     cfg = replace(GRID4X12, rng_seed=seed, span_bound=4)
     gains = realize_gains(cfg, None)
     base = solve(instance_from_gains(cfg, gains, set()))
@@ -459,12 +466,46 @@ def test_grid_b4_realloc_node_counts_pinned(seed):
     for env in ("A", "C"):
         results[env] = solve(instance_from_gains(cfg, gains, {env}),
                              warm_start=base.allocation)
-    for env, res in results.items():
+    return results
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_grid_b4_realloc_node_counts_pinned(seed):
+    for env, res in _grid_b4_results(seed).items():
         nodes, owners, maxmin = _GRID_B4_PINS[seed, env]
         assert res.proven_optimal
         assert res.nodes_explored == nodes
         assert res.allocation.owner_vector() == owners
         assert res.maxmin.hex() == maxmin
+
+
+# full subset averages on the traffic of _GRID_B4_PINS, recorded when the
+# pre-test read each member's top-k list (5,481 when it read the members'
+# largest gain alone); the search must not need more
+_GRID_B4_AVERAGES = 166
+
+
+def test_grid_b4_full_average_ceiling(monkeypatch):
+    calls = 0
+    order = solver._order
+
+    def counting_order(cap, visit):
+        tables = order(cap, visit)
+        average = tables.average
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return average(*args)
+
+        tables.average = counted
+        return tables
+
+    monkeypatch.setattr(solver, "_order", counting_order)
+    nodes = sum(res.nodes_explored for seed in range(1, 9)
+                for res in _grid_b4_results(seed).values())
+    assert nodes == sum(pin[0] for pin in _GRID_B4_PINS.values()) == 6_774
+    assert calls <= _GRID_B4_AVERAGES
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +538,8 @@ def test_subset_bound_pruned_by_rounding_stays_pruned():
     # with link 1 at rate 1 and link 0 at 1 - t, channel 2's t lifts the
     # pair's average to the incumbent 1, but the pair's bound takes t from
     # the suffix sums (t + 2^40) - 2^40 = 0, falls below dead and prunes;
-    # a pre-test without the margin would clear the pair on link 0's gain t
+    # a pre-test without the margin would clear the pair on link 0's top-k
+    # sum t
     t = 2.0 ** -20
     cap = [[0, 1 - t, t, 0, 2.0 ** 40], [1, 0, 0, 0, 0]]
     warm = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
@@ -595,12 +637,14 @@ def test_bound_source_compiles_without_warnings(n):
 
 def _loop_bound(t, b, rate, lo, hi, cnt, idx, inc):
     """The bound test of a node as loops over the links and the subsets,
-    which the generated test unrolls: True when the node is pruned."""
+    which the generated test unrolls: True when the node is pruned. Every
+    subset's average is evaluated in full, so a subset the generated
+    test's pre-test clears must not prune here either."""
     n, m_total = len(rate), len(t.visit)
     last, remaining = m_total - 1, m_total - idx
     slack = inc * 1e-12
     dead = inc - slack
-    e_of, k_of, slots_of, gain_of = {}, {}, {}, {}
+    e_of, k_of, slots_of = {}, {}, {}
     needed = 0
     for l in range(n):
         if rate[l] > inc:
@@ -616,7 +660,7 @@ def _loop_bound(t, b, rate, lo, hi, cnt, idx, inc):
             slots = min(b, remaining)
             sums = t.topk(1 << l, idx, t.first[idx], t.final[idx])
             gain = min(sums[slots], t.best_window[l][idx])
-        slots_of[l], gain_of[l] = slots, gain
+        slots_of[l] = slots
         if rate[l] + gain < dead:
             return True
         deficit = inc - rate[l] - slack
@@ -634,17 +678,13 @@ def _loop_bound(t, b, rate, lo, hi, cnt, idx, inc):
         members = [l for l in range(n) if mask >> l & 1]
         if len(members) < 2 or any(l not in e_of for l in members):
             continue
-        rate_sum, g_max = 0.0, 0.0
+        rate_sum = 0.0
         for l in members:
             rate_sum += rate[l]
-            if gain_of[l] > g_max:
-                g_max = gain_of[l]
         slots = sum(slots_of[l] for l in members)
         reach = max(0, max(e_of[l] for l in members) - idx + 1)
         if sum(k_of[l] for l in members) > min(reach, slots):
             return True
-        if rate_sum + g_max >= len(members) * dead + t.margin:
-            continue
         # the subset's best capacity per position, and its suffix sums
         cap_sum, start, rest = 0.0, idx, set(members)
         for l in sorted(members, key=e_of.__getitem__):
@@ -666,6 +706,17 @@ def _loop_bound(t, b, rate, lo, hi, cnt, idx, inc):
     return False
 
 
+def test_subset_pre_test_reads_members_at_the_subsets_slots():
+    # at the root with b = 1 each link passes its own bound (one channel of
+    # 1 against the incumbent 0.9), but the pair has two slots, worth 1.5
+    # together, and averages 0.75; link 0's whole tail, 3.5, would clear it
+    cap = [[1, 0.5, 0.5, 0.5, 0.5, 0.5], [1, 0, 0, 0, 0, 0]]
+    t = solver._at_bound(solver._Tables(_instance(cap, 1)), 0, 1)
+    state = ([0.0, 0.0], [6, 6], [-1, -1], [0, 0])
+    assert solver._bound_test(2)(*state, t, 1, bisect.bisect_left)(0, 0.9)
+    assert _loop_bound(t, 1, *state, 0, 0.9)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_bound_test_matches_its_loops(n):
     # random search states of both visit orders: rates, ranges and counts
@@ -674,8 +725,15 @@ def test_bound_test_matches_its_loops(n):
     outcomes = []
     for case in range(4):
         m = int(rng.integers(4, 11))
-        cap = (rng.uniform(0, 1, size=(n, m)) if case % 2
-               else rng.integers(0, 4, size=(n, m)) * 0.1)
+        if case < 2:
+            cap = (rng.uniform(0, 1, size=(n, m)) if case % 2
+                   else rng.integers(0, 4, size=(n, m)) * 0.1)
+        else:
+            # links that rank the channels alike compete for them, so that
+            # more subset averages prune, some only by the subset's slots
+            cap = rng.uniform(0, 1, size=m) * rng.uniform(0.8, 1, size=(n, m))
+            if case % 2:
+                cap = np.round(cap * 4) * 0.1
         b = int(rng.integers(1, m + 1))
         tables = solver._Tables(_instance(cap, b))
         for order in (0, 1):
