@@ -364,40 +364,105 @@ def reallocation_experiment(cfg: ScenarioConfig,
     )
 
 
-def _sweep_one(task):
-    """One realization of the trade-off curve: realize, then solve per span
-    bound. Solving the largest bound first often settles the rest: when
-    that optimum is proven, every b at or above its max row span (span*)
-    shares its value (feasible there, and the optimum is monotone in b).
-    The other bounds are solved in ascending order, each warm-started from
-    the previous allocation; after a budget-truncated top solve that is
-    every bound. Once a solve reaches the proven top value, the curve has
-    reached its ceiling and every larger bound shares that value unsolved.
-    Skipping those solves changes no value; it can turn the proven flag
-    from False to True only where a node budget cut one of them short.
+def _curve(inst: ProblemInstance, b_values: Sequence[int],
+           node_budget: int) -> tuple[list[float], bool]:
+    """One realization's trade-off curve: the optimum at each span bound
+    of the increasing `b_values`, and whether every solve run was proven.
+
+    The optimum is monotone in b and mostly flat, so most bounds are fixed
+    without a solve of their own, by two rules. An optimum at b whose
+    longest row spans s channels is feasible, and so optimal, at every
+    bound in [s, b]. Two bounds with equal optima fix every bound between
+    them. The largest bound is solved first, then the lowest bound not yet
+    fixed, then the middle (the upper one of two) of the lowest run of
+    unfixed bounds, until none is left. Each solve after the first is
+    warm-started from the best allocation found so far that fits its
+    bound, and its `ceiling` is the optimum at the nearest larger fixed
+    bound: no allocation at a smaller bound beats it, so one that reaches
+    it is optimal and the solve stops there. Every value is still the
+    exact optimum, the same float that a solve of that bound on its own
+    returns, so the row is bit-identical to solving every bound.
+
+    Under a node budget, a truncated solve below the largest bound keeps
+    its value, raised to the value at the next lower bound if that is
+    larger (an allocation found there fits this bound too), but it fixes
+    nothing and is no ceiling; the curve is then not proven. A truncated
+    solve of the largest bound proves nothing, so every bound is solved in
+    ascending order, the largest again, each warm-started from the last.
+
     The solves share one `_Tables` of the draw's capacities: the solver
     tables that do not depend on b, and the race order that last proved
     an optimum below b = M. A proven value is the same either way."""
+    tables = _Tables(inst)
+
+    def run(b, **kwargs):
+        return solve(inst.with_span_bound(b), node_budget=node_budget,
+                     tables=tables, **kwargs)
+
+    top = run(b_values[-1])
+    if not top.proven_optimal:
+        row, prev = [], None
+        for b in b_values:
+            res = run(b, warm_start=prev)
+            prev = res.allocation
+            row.append(res.maxmin)
+        return row, False
+    row = [None] * len(b_values)
+    fixed = [False] * len(b_values)
+    # every allocation found, with its longest row span
+    found = []
+
+    def record(i, res):
+        span = max(res.allocation.spans())
+        found.append((res.maxmin, span, res.allocation))
+        row[i] = res.maxmin
+        if not res.proven_optimal:
+            return
+        for j in range(i + 1):
+            if b_values[j] >= span:
+                row[j], fixed[j] = res.maxmin, True
+        ends = [j for j in range(len(row)) if fixed[j]]
+        for j1, j2 in zip(ends, ends[1:]):
+            if row[j1] == row[j2]:
+                for j in range(j1 + 1, j2):
+                    row[j], fixed[j] = row[j1], True
+
+    last = len(b_values) - 1
+    record(last, top)
+    proven = True
+    while True:
+        # the lowest run lo..hi of unfixed bounds that holds one not yet
+        # solved (with no value): its lowest such bound if no fixed bound
+        # lies below the run, its (upper) middle one otherwise; the largest
+        # bound is fixed
+        todo = [j for j in range(last) if row[j] is None]
+        if not todo:
+            break
+        lo = hi = todo[0]
+        while lo and not fixed[lo - 1]:
+            lo -= 1
+        while not fixed[hi + 1]:
+            hi += 1
+        todo = [j for j in todo if j <= hi]
+        i = todo[0] if lo == 0 else todo[len(todo) // 2]
+        b = b_values[i]
+        fits = [(value, alloc) for value, span, alloc in found if span <= b]
+        warm = max(fits, key=lambda f: f[0])[1] if fits else None
+        res = run(b, warm_start=warm, ceiling=row[hi + 1])
+        proven = proven and res.proven_optimal
+        record(i, res)
+    for j in range(1, len(row)):
+        if not fixed[j] and row[j] < row[j - 1]:
+            row[j] = row[j - 1]
+    return row, proven
+
+
+def _sweep_one(task):
+    """One realization of the trade-off curve: draw it, then `_curve`."""
     cfg, b_values, active, gen, node_budget = task
     gains = realize_gains(cfg, gen)
-    inst = instance_from_gains(cfg, gains, active)
-    tables = _Tables(inst)
-    top = solve(inst.with_span_bound(b_values[-1]), node_budget=node_budget,
-                tables=tables)
-    proven = top.proven_optimal
-    span_star = max(top.allocation.spans()) if proven else math.inf
-    row, prev = [], None
-    for b in b_values:
-        if b >= span_star:
-            row.append(top.maxmin)
-            continue
-        res = solve(inst.with_span_bound(b), node_budget=node_budget,
-                    warm_start=prev, tables=tables)
-        prev = res.allocation
-        proven = proven and res.proven_optimal
-        row.append(res.maxmin)
-        if top.proven_optimal and res.maxmin == top.maxmin:
-            span_star = b
+    row, proven = _curve(instance_from_gains(cfg, gains, active), b_values,
+                         node_budget)
     for v1, v2 in zip(row, row[1:]):
         if v2 < v1:
             raise RuntimeError("per-realization curve decreased; solver bug")

@@ -714,9 +714,14 @@ def _bound_test(n):
 # The search
 # ---------------------------------------------------------------------------
 
+class _CeilingReached(Exception):
+    """Raised through the search when the incumbent reaches the ceiling."""
+
+
 def solve(inst: ProblemInstance, *,
           node_budget: int = DEFAULT_NODE_BUDGET,
-          warm_start=None, tables: _Tables | None = None) -> SolveResult:
+          warm_start=None, tables: _Tables | None = None,
+          ceiling: float | None = None) -> SolveResult:
     """Exactly maximize the minimum link rate subject to orthogonal
     assignment and the per-link span cap.
 
@@ -731,12 +736,29 @@ def solve(inst: ProblemInstance, *,
     that completed the last proven race into the next. A proven result is
     the same with or without it; without it the solve builds its own, so
     its node count is that of a solve on its own.
+
+    `ceiling`, when given, is a value the caller has proven that no
+    allocation at this span bound exceeds, such as the proven optimum at a
+    larger bound of the same matrix. The search then ends, proven, at the
+    first incumbent that reaches it, a warm start or heuristic included
+    (with 0 nodes). Such an incumbent is an optimum, since its maxmin
+    cannot lie above the ceiling, but not necessarily the tie-broken one
+    that a solve without a ceiling returns; its maxmin is the same float.
+    A ceiling above the optimum is never reached and changes nothing, node
+    count included. It must be a real number: NaN, a boolean or a string is
+    a ValidationError.
     """
     t_start = time.perf_counter()
     n, m_total, b = inst.num_links, inst.num_channels, inst.span_bound
     node_budget = as_int(node_budget, "node_budget")
     if node_budget < 0:
         raise ValidationError("node_budget must be >= 0")
+    if ceiling is None:
+        ceiling = math.inf
+    elif (isinstance(ceiling, bool)
+          or not isinstance(ceiling, (int, float, np.integer, np.floating))
+          or math.isnan(ceiling)):
+        raise ValidationError(f"ceiling must be a number, got {ceiling!r}")
     max_channels = sys.getrecursionlimit() - _STACK_MARGIN
     if m_total > max_channels:
         raise ValidationError(
@@ -768,6 +790,8 @@ def solve(inst: ProblemInstance, *,
         if _beats(n, value, total, owners, best_value, best_total, best_owner):
             best_owner = list(owners)
             best_value, best_total = value, total
+    if best_value >= ceiling:
+        return _result(inst, best_owner, True, 0, t_start)
 
     # --- DFS ------------------------------------------------------------
     nodes = 0
@@ -902,6 +926,8 @@ def solve(inst: ProblemInstance, *,
                               best_total, best_owner):
                         best_owner = owners
                         best_value, best_total = value, total
+                        if value >= ceiling:
+                            raise _CeilingReached
                 return
             for l in branch:
                 owner[idx] = l
@@ -972,7 +998,7 @@ def solve(inst: ProblemInstance, *,
         stop_at = min(start + turn, node_budget)
         try:
             done = next(runs[i])
-        except StopIteration:
+        except (StopIteration, _CeilingReached):
             proven = True
             break
         if nodes > node_budget:

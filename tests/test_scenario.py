@@ -268,6 +268,78 @@ def test_sweep_stops_at_its_ceiling(monkeypatch):
     assert list(curve.values[0]) == expected
 
 
+def _abc_draw(entry):
+    """Draw `entry` of the grid's A,B,C sweep pool, as `sweep` realizes it."""
+    gen, = rng_streams(np.random.default_rng((1000, entry)), 1)
+    return instance_from_gains(GRID4X12, realize_gains(GRID4X12, gen),
+                               {"A", "B", "C"})
+
+
+def _logging_solve(monkeypatch, cut=None):
+    """Replace the sweep's solve by one that logs (b, ceiling, result) and,
+    at span bound `cut`, stops with no node searched."""
+    log = []
+
+    def logged(inst, **kwargs):
+        if inst.span_bound == cut:
+            kwargs["node_budget"] = 0
+        res = solve(inst, **kwargs)
+        log.append((inst.span_bound, kwargs.get("ceiling"), res))
+        return res
+
+    monkeypatch.setattr(scenario, "solve", logged)
+    return log
+
+
+def test_sweep_brackets_its_bounds(monkeypatch):
+    # b = 12's optimum spans 11 channels and fixes b = 11; b = 3 falls below
+    # it; b = 7, the upper middle of 4..10, reaches the b = 12 value, which
+    # fixes 8..10 as equal to both, and its allocation spans 5 channels,
+    # which fixes 5 and 6; b = 4 is left
+    b_values = range(3, 13)
+    log = _logging_solve(monkeypatch)
+    curve = sweep(GRID4X12, b_values, realizations=1,
+                  rng=np.random.default_rng((1000, 21)),
+                  active_interferers={"A", "B", "C"})
+    assert [b for b, _, _ in log] == [12, 3, 7, 4]
+    assert curve.all_proven
+    (_, _, top), (_, _, low), (_, _, mid), (_, ceiling, res) = log
+    assert max(top.allocation.spans()) == 11
+    assert mid.maxmin == top.maxmin
+    assert max(mid.allocation.spans()) == 5
+    # b = 4's ceiling is the optimum at b = 5, fixed by b = 7's span
+    assert ceiling == mid.maxmin
+    assert low.maxmin == res.maxmin < mid.maxmin
+    inst = _abc_draw(21)
+    expected = [solve(inst.with_span_bound(b)).maxmin.hex() for b in b_values]
+    assert [v.hex() for v in curve.values[0]] == expected
+
+
+def test_sweep_truncated_solve_below_the_top_fixes_nothing(monkeypatch):
+    # b = 6 is cut short and returns b = 3's allocation (span 3), below its
+    # optimum; as a fill it would fix 3..6, and 4 and 5 with it, at that
+    # value, and as a ceiling it would lie. It does neither: the bounds
+    # around it are solved under proven ceilings, and its own value is
+    # raised to the optimum at b = 5, found later
+    b_values = range(3, 13)
+    log = _logging_solve(monkeypatch, cut=6)
+    curve = sweep(GRID4X12, b_values, realizations=1,
+                  rng=np.random.default_rng((1000, 9)),
+                  active_interferers={"A", "B", "C"})
+    assert not curve.all_proven
+    assert [b for b, _, _ in log] == [12, 3, 6, 7, 5, 4, 8]
+    cut = log[2][2]
+    assert not cut.proven_optimal
+    assert all(res.proven_optimal for b, _, res in log if b != 6)
+    assert cut.maxmin == log[1][2].maxmin
+    assert max(cut.allocation.spans()) == 3
+    assert cut.maxmin not in [ceiling for _, ceiling, _ in log]
+    inst = _abc_draw(9)
+    exact = [solve(inst.with_span_bound(b)).maxmin for b in b_values]
+    assert cut.maxmin < exact[3]
+    assert list(curve.values[0]) == exact
+
+
 def test_shared_tables_are_exact():
     # one realization's solves share one _Tables, as a sweep's do: every
     # result equals a solve on its own, and so does the node count while the

@@ -144,6 +144,60 @@ def test_node_budget_must_be_a_nonnegative_integer(budget):
     assert solve(inst, node_budget=np.int64(1_000)).proven_optimal
 
 
+def _grid_ceiling(entry):
+    """A grid draw under A, B and C, and its proven optimum at b = 12."""
+    inst = _grid_instance(entry, {"A", "B", "C"}, 12)
+    top = solve(inst)
+    assert top.proven_optimal
+    return inst, top.maxmin
+
+
+@pytest.mark.parametrize("entry, b", [(21, 5), (21, 8), (9, 9), (5, 11)])
+def test_ceiling_ends_the_search_where_it_is_reached(entry, b):
+    # the optimum at b equals the one at b = 12, so an allocation that
+    # reaches that ceiling is optimal: the search stops there, proven
+    inst, ceiling = _grid_ceiling(entry)
+    inst = inst.with_span_bound(b)
+    full = solve(inst)
+    capped = solve(inst, ceiling=ceiling)
+    assert full.maxmin == ceiling
+    assert capped.proven_optimal
+    assert capped.maxmin.hex() == full.maxmin.hex()
+    assert 0 < capped.nodes_explored < full.nodes_explored
+    assert verify_solution(inst, capped)
+
+
+def test_ceiling_met_by_the_warm_start_takes_no_node():
+    inst, ceiling = _grid_ceiling(21)
+    inst = inst.with_span_bound(7)
+    full = solve(inst)
+    res = solve(inst, warm_start=full.allocation, ceiling=ceiling)
+    assert res.proven_optimal
+    assert res.nodes_explored == 0
+    assert res.maxmin.hex() == full.maxmin.hex()
+
+
+@pytest.mark.parametrize("entry, b", [(9, 3), (9, 8), (5, 6), (21, 4)])
+def test_ceiling_above_the_optimum_changes_nothing(entry, b):
+    inst, top = _grid_ceiling(entry)
+    inst = inst.with_span_bound(b)
+    full = solve(inst)
+    assert full.maxmin < top
+    for ceiling in (top, math.nextafter(full.maxmin, math.inf), math.inf):
+        res = solve(inst, ceiling=ceiling)
+        assert res.allocation.owner_vector() == full.allocation.owner_vector()
+        assert res.maxmin.hex() == full.maxmin.hex()
+        assert res.nodes_explored == full.nodes_explored
+        assert res.proven_optimal
+
+
+@pytest.mark.parametrize("ceiling", [float("nan"), True, "5"])
+def test_ceiling_must_be_a_number(ceiling):
+    inst = _instance(np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="ceiling"):
+        solve(inst, ceiling=ceiling)
+
+
 def test_block_candidates_tied_in_value_and_total_keep_the_tie_order():
     # every block matching of equal capacities ties in maxmin and total, so
     # the first incumbent, returned at once with no node to search, is the
