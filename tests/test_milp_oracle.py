@@ -2,17 +2,27 @@
 
 `oracle.brute_force` stops at a few links and channels. Here the
 max-min program written out in the `solver` module docstring is handed
-to HiGHS through `scipy.optimize.milp`, on full `grid4x12` instances.
+to HiGHS through `scipy.optimize.milp`, on full `grid4x12` instances
+and on wider draws of it.
 The branch-and-bound optimum must be at least the value of the MILP's
 (rounded, re-evaluated) allocation, and at least HiGHS's proven upper
 bound less a small tolerance. Skipped when scipy is not installed.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ncofdm_alloc.model import AllocationMatrix, evaluate_rates, rng_streams
-from ncofdm_alloc.scenario import GRID4X12, instance_from_gains, realize_gains
+from ncofdm_alloc.scenario import (
+    GRID4X12,
+    InterfererSpec,
+    LinkSpec,
+    instance_from_gains,
+    realize_gains,
+)
 from ncofdm_alloc.solver import solve
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -93,4 +103,38 @@ def test_grid_optimum_matches_highs(entry, b, active):
     # the MILP's allocation is feasible, so it cannot beat the exact optimum
     assert res.maxmin >= evaluate_rates(inst, allocation).maxmin
     # and HiGHS's proven bound confirms that optimum to within its gap
+    assert res.maxmin >= upper_bound * (1.0 - 2 * _REL_GAP)
+
+
+# link distances of the wider configs below, the first n of them used
+_DISTANCES = (1.0, math.sqrt(5.0), math.sqrt(2.0), 2.0, 1.5, 2.5, 1.2, 1.8)
+
+
+def _wide_instance(n, m_total, b):
+    """The fading draw (1000, 0) of grid4x12 widened to n links on m_total
+    channels, with interferer C active on channels 3M/4..M-1."""
+    cfg = replace(
+        GRID4X12, num_channels=m_total,
+        links=tuple(LinkSpec(id=f"L{l + 1}", distance=d)
+                    for l, d in enumerate(_DISTANCES[:n])),
+        interferers=(InterfererSpec(
+            name="C", channels=tuple(range(3 * m_total // 4, m_total)),
+            db_above_noise=33.0),))
+    gains = realize_gains(cfg, np.random.default_rng((1000, 0)))
+    return instance_from_gains(cfg, gains, {"C"}, span_bound=b)
+
+
+# draws where the needy-set bound does much of the pruning: the solver's
+# nodes, 34,642 and 5,581 without that bound
+@pytest.mark.parametrize("n, m_total, b, nodes", [
+    (4, 16, 8, 24_300),
+    (5, 12, 5, 2_561),
+])
+def test_needy_set_bound_reach_pinned(n, m_total, b, nodes):
+    inst = _wide_instance(n, m_total, b)
+    res = solve(inst)
+    assert res.proven_optimal
+    assert res.nodes_explored == nodes
+    allocation, upper_bound = _milp(inst)
+    assert res.maxmin >= evaluate_rates(inst, allocation).maxmin
     assert res.maxmin >= upper_bound * (1.0 - 2 * _REL_GAP)

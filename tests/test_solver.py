@@ -4,7 +4,6 @@ import itertools
 import math
 import sys
 import threading
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -437,9 +436,9 @@ def test_race_budget_exhaustion_leaves_no_thread(budget, b):
 
 
 # entries 0, 3 and 10 at b = 5, 7 and 9, per interference environment: the
-# total nodes, recorded when each turn first went to the search closer to
-# done; the race must not need more
-_ENVIRONMENT_NODES = {"A,B,C": 16_647, "C": 66_469, "A": 6_203, "none": 11_334}
+# total nodes, recorded with the needy-set bound once each turn went to the
+# search closer to done; the race must not need more
+_ENVIRONMENT_NODES = {"A,B,C": 16_647, "C": 71_312, "A": 7_603, "none": 12_041}
 
 
 @pytest.mark.parametrize("env", sorted(_ENVIRONMENT_NODES))
@@ -457,57 +456,57 @@ def test_race_node_ceiling_per_environment(env):
 # the benchmark's realloc-cli traffic: grid4x12 at rng seeds 1-8 and b = 4,
 # solved with no interferer and then, warm-started from that allocation,
 # with A alone and with C alone. Index order settles each solve alone, so
-# these pin its search; (nodes, owners, maxmin) recorded when every link's
-# bound was evaluated at every node and every block candidate was scored
-# from its owner vector
+# these pin its search; (owners, maxmin) recorded when every link's bound
+# was evaluated at every node and every block candidate was scored from its
+# owner vector, and nodes with the needy-set bound
 _GRID_B4_PINS = {
-    (1, "none"): (290, [0, 0, 0, 3, 3, 3, 2, 2, 1, 2, 1, 1],
+    (1, "none"): (354, [0, 0, 0, 3, 3, 3, 2, 2, 1, 2, 1, 1],
                   "0x1.affe862f2a403p+22"),
-    (1, "A"): (110, [0, 0, 3, 0, 3, 3, 2, 2, 1, 2, 1, 1],
+    (1, "A"): (124, [0, 0, 3, 0, 3, 3, 2, 2, 1, 2, 1, 1],
                "0x1.53b6084703684p+22"),
-    (1, "C"): (492, [3, 3, 3, 1, 1, 1, 2, 2, 0, 2, 0, 0],
+    (1, "C"): (704, [3, 3, 3, 1, 1, 1, 2, 2, 0, 2, 0, 0],
                "0x1.5425901f88f33p+22"),
-    (2, "none"): (258, [3, 3, 0, 3, 0, 0, 2, 2, 1, 2, 1, 1],
+    (2, "none"): (321, [3, 3, 0, 3, 0, 0, 2, 2, 1, 2, 1, 1],
                   "0x1.afb683224a982p+22"),
-    (2, "A"): (111, [0, 0, 1, 0, 1, 1, 2, 2, 2, 3, 3, 3],
+    (2, "A"): (135, [0, 0, 1, 0, 1, 1, 2, 2, 2, 3, 3, 3],
                "0x1.52ad5ae7a5e5ap+22"),
-    (2, "C"): (492, [2, 2, 2, 3, 3, 3, 1, 1, 0, 1, 0, 0],
+    (2, "C"): (709, [2, 2, 2, 3, 3, 3, 1, 1, 0, 1, 0, 0],
                "0x1.5429e2cc44a5ep+22"),
-    (3, "none"): (276, [0, 0, 2, 0, 2, 2, 1, 1, 3, 1, 3, 3],
+    (3, "none"): (349, [0, 0, 2, 0, 2, 2, 1, 1, 3, 1, 3, 3],
                   "0x1.affadb9578426p+22"),
-    (3, "A"): (105, [0, 0, 2, 0, 2, 2, 1, 1, 3, 1, 3, 3],
+    (3, "A"): (129, [0, 0, 2, 0, 2, 2, 1, 1, 3, 1, 3, 3],
                "0x1.534d6a88b3588p+22"),
-    (3, "C"): (508, [2, 2, 2, 1, 1, 3, 1, 3, 3, 0, 0, 0],
+    (3, "C"): (726, [2, 2, 2, 1, 1, 3, 1, 3, 3, 0, 0, 0],
                "0x1.55018961267aep+22"),
-    (4, "none"): (221, [1, 1, 3, 1, 3, 3, 2, 2, 0, 2, 0, 0],
+    (4, "none"): (284, [1, 1, 3, 1, 3, 3, 2, 2, 0, 2, 0, 0],
                   "0x1.b045d80ef242cp+22"),
-    (4, "A"): (110, [0, 0, 3, 0, 3, 3, 2, 2, 1, 2, 1, 1],
+    (4, "A"): (134, [0, 0, 3, 0, 3, 3, 2, 2, 1, 2, 1, 1],
                "0x1.53b815d9f1912p+22"),
-    (4, "C"): (490, [1, 1, 3, 1, 3, 3, 2, 2, 2, 0, 0, 0],
+    (4, "C"): (721, [1, 1, 3, 1, 3, 3, 2, 2, 2, 0, 0, 0],
                "0x1.5492deae5f3dep+22"),
-    (5, "none"): (163, [1, 1, 1, 3, 3, 3, 2, 2, 2, 0, 0, 0],
+    (5, "none"): (203, [1, 1, 1, 3, 3, 3, 2, 2, 2, 0, 0, 0],
                   "0x1.af6735e6da472p+22"),
-    (5, "A"): (112, [0, 0, 3, 0, 3, 3, 2, 2, 2, 1, 1, 1],
+    (5, "A"): (136, [0, 0, 3, 0, 3, 3, 2, 2, 2, 1, 1, 1],
                "0x1.53174cff04e82p+22"),
-    (5, "C"): (510, [2, 2, 3, 2, 3, 3, 1, 1, 1, 0, 0, 0],
+    (5, "C"): (731, [2, 2, 3, 2, 3, 3, 1, 1, 1, 0, 0, 0],
                "0x1.540b1f2be105bp+22"),
-    (6, "none"): (173, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
+    (6, "none"): (227, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
                   "0x1.b0c911ba96fd0p+22"),
-    (6, "A"): (110, [0, 0, 1, 0, 1, 1, 2, 2, 2, 3, 3, 3],
+    (6, "A"): (124, [0, 0, 1, 0, 1, 1, 2, 2, 2, 3, 3, 3],
                "0x1.54d29224ee7d0p+22"),
-    (6, "C"): (540, [3, 3, 3, 1, 1, 1, 2, 2, 2, 0, 0, 0],
+    (6, "C"): (760, [3, 3, 3, 1, 1, 1, 2, 2, 2, 0, 0, 0],
                "0x1.53a0f09f07e48p+22"),
-    (7, "none"): (186, [1, 1, 2, 1, 2, 2, 0, 0, 3, 0, 3, 3],
+    (7, "none"): (263, [1, 1, 2, 1, 2, 2, 0, 0, 3, 0, 3, 3],
                   "0x1.af07330aea67ep+22"),
-    (7, "A"): (110, [0, 0, 1, 0, 1, 1, 3, 3, 3, 2, 2, 2],
+    (7, "A"): (129, [0, 0, 1, 0, 1, 1, 3, 3, 3, 2, 2, 2],
                "0x1.538e92e701154p+22"),
-    (7, "C"): (517, [1, 1, 3, 1, 3, 3, 2, 2, 0, 2, 0, 0],
+    (7, "C"): (728, [1, 1, 3, 1, 3, 3, 2, 2, 0, 2, 0, 0],
                "0x1.53ea5ef55d046p+22"),
-    (8, "none"): (182, [1, 1, 2, 1, 2, 2, 0, 0, 3, 0, 3, 3],
+    (8, "none"): (206, [1, 1, 2, 1, 2, 2, 0, 0, 3, 0, 3, 3],
                   "0x1.b03cee06136b0p+22"),
-    (8, "A"): (110, [0, 0, 1, 0, 1, 1, 2, 2, 3, 2, 3, 3],
+    (8, "A"): (129, [0, 0, 1, 0, 1, 1, 2, 2, 3, 2, 3, 3],
                "0x1.526681c3cd968p+22"),
-    (8, "C"): (598, [1, 1, 2, 1, 2, 2, 3, 3, 3, 0, 0, 0],
+    (8, "C"): (829, [1, 1, 2, 1, 2, 2, 3, 3, 3, 0, 0, 0],
                "0x1.549d9a62e9ed6p+22"),
 }
 
@@ -533,73 +532,45 @@ def test_grid_b4_realloc_node_counts_pinned(seed):
         assert res.maxmin.hex() == maxmin
 
 
-# full subset averages on the traffic of _GRID_B4_PINS, recorded when the
-# pre-test read each member's top-k list (5,481 when it read the members'
-# largest gain alone); the search must not need more
-_GRID_B4_AVERAGES = 166
-
-
-def test_grid_b4_full_average_ceiling(monkeypatch):
-    calls = 0
-    order = solver._order
-
-    def counting_order(cap, visit):
-        tables = order(cap, visit)
-        average = tables.average
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return average(*args)
-
-        tables.average = counted
-        return tables
-
-    monkeypatch.setattr(solver, "_order", counting_order)
-    nodes = sum(res.nodes_explored for seed in range(1, 9)
-                for res in _grid_b4_results(seed).values())
-    assert nodes == sum(pin[0] for pin in _GRID_B4_PINS.values()) == 6_774
-    assert calls <= _GRID_B4_AVERAGES
-
-
 # ---------------------------------------------------------------------------
-# subset bounds: the pre-test clears only subsets whose full evaluation could
-# not prune, so node counts stay as recorded before it existed
+# node counts at five and six links, and the needy-set bound
 # ---------------------------------------------------------------------------
 
 # per link count n, the nodes of a uniform and of a near-equal draw on 12
-# channels at b = 3, 5, 7 and 12 (every one of the 26 and 57 subsets of two
-# or more links has a bound)
-_SUBSET_NODES = {
-    (5, "uniform"): [640, 1258, 2295, 499],
-    (5, "near-equal"): [1140, 13249, 4363, 7922],
-    (6, "uniform"): [205, 1621, 1083, 1484],
-    (6, "near-equal"): [2081, 4580, 6127, 10254],
+# channels at b = 3, 5, 7 and 12
+_FIVE_SIX_LINK_NODES = {
+    (5, "uniform"): [640, 1274, 2304, 499],
+    (5, "near-equal"): [1220, 13872, 4455, 7922],
+    (6, "uniform"): [213, 1741, 1097, 1506],
+    (6, "near-equal"): [2240, 5458, 6741, 12964],
 }
 
 
-@pytest.mark.parametrize("n, kind", sorted(_SUBSET_NODES))
+@pytest.mark.parametrize("n, kind", sorted(_FIVE_SIX_LINK_NODES))
 def test_subset_bound_node_counts_pinned(n, kind):
     rng = np.random.default_rng(n)
     draws = {"uniform": rng.uniform(0, 1, size=(n, 12)),
              "near-equal": 1 + rng.integers(0, 4, size=(n, 12)) * 1e-6}
     nodes = [solve(_instance(draws[kind], b)).nodes_explored
              for b in (3, 5, 7, 12)]
-    assert nodes == _SUBSET_NODES[n, kind]
+    assert nodes == _FIVE_SIX_LINK_NODES[n, kind]
 
 
-def test_subset_bound_pruned_by_rounding_stays_pruned():
+def test_small_capacity_beside_a_huge_one_matches_oracle():
     # with link 1 at rate 1 and link 0 at 1 - t, channel 2's t lifts the
-    # pair's average to the incumbent 1, but the pair's bound takes t from
-    # the suffix sums (t + 2^40) - 2^40 = 0, falls below dead and prunes;
-    # a pre-test without the margin would clear the pair on link 0's top-k
-    # sum t
+    # pair's average to the incumbent 1; a bound that took t from the
+    # suffix sums (t + 2^40) - 2^40 = 0 would fall below it and prune
     t = 2.0 ** -20
     cap = [[0, 1 - t, t, 0, 2.0 ** 40], [1, 0, 0, 0, 0]]
     warm = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
-    res = solve(_instance(cap, 2), warm_start=warm)
-    assert res.allocation.owner_vector() == [1, -1, -1, -1, 0]
-    assert res.nodes_explored == 15
+    for b in range(1, 6):
+        inst = _instance(cap, b)
+        oracle = brute_force(inst)
+        for res in (solve(inst), solve(inst, warm_start=warm)):
+            assert res.proven_optimal
+            assert (res.allocation.owner_vector()
+                    == oracle.allocation.owner_vector())
+            assert res.maxmin.hex() == oracle.maxmin.hex()
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -619,17 +590,16 @@ def test_subset_bounds_match_oracle(n, slice_nodes):
 
 
 # per link count n, the nodes of a uniform draw and, for n <= 3, a draw of
-# tenths that tie often, on 12 channels at b = 1, 6 and 12; recorded with
-# the per-link and per-subset bounds evaluated in loops
+# tenths that tie often, on 12 channels at b = 1, 6 and 12
 _LINK_COUNT_NODES = {
     (1, "uniform"): [31, 35, 12],
     (1, "tenths"): [59, 75, 13],
-    (2, "uniform"): [109, 41, 43],
-    (2, "tenths"): [290, 168, 201],
-    (3, "uniform"): [462, 139, 169],
-    (3, "tenths"): [930, 912, 2580],
+    (2, "uniform"): [109, 49, 43],
+    (2, "tenths"): [290, 182, 201],
+    (3, "uniform"): [474, 162, 171],
+    (3, "tenths"): [930, 1278, 2687],
     (7, "uniform"): [2775, 10867, 3601],
-    (8, "uniform"): [2458, 7474, 2368],
+    (8, "uniform"): [2458, 7413, 2368],
 }
 
 
@@ -645,8 +615,7 @@ def test_link_count_node_counts_pinned(n, kind):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_link_count_matches_oracle(n):
-    # every generated bound test, with and without subset blocks, on at
-    # most 6e4 oracle leaves
+    # the bound test at every link count, on at most 6e4 oracle leaves
     rng = np.random.default_rng(1300 + n)
     m_max = max(m for m in range(2, 9) if (n + 1) ** m <= 60_000)
     for case in range(9):
@@ -661,114 +630,76 @@ def test_every_link_count_matches_oracle(n):
         _assert_matches_oracle(_instance(cap, int(rng.integers(1, m + 1))))
 
 
-def test_bound_test_is_compiled_once_per_link_count(monkeypatch):
-    compiled = []
-
-    def counting_compile(source, filename, mode):
-        compiled.append(filename)
-        return compile(source, filename, mode)
-
-    monkeypatch.setattr(solver, "compile", counting_compile, raising=False)
-    solver._bound_test.cache_clear()
-    rng = np.random.default_rng(33)
-    # several solves, searches and span bounds per link count; one-node
-    # turns make both visit orders search
-    monkeypatch.setattr(solver, "_SLICE_NODES", 1)
-    for n in (2, 3, 2, 3):
-        cap = rng.uniform(0, 1, size=(n, 6))
-        for b in (2, 4, 6):
-            assert solve(_instance(cap, b)).proven_optimal
-    assert compiled == ["<bound test, 2 links>", "<bound test, 3 links>"]
-    assert solver._bound_test(3) is solver._bound_test(3)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_bound_source_compiles_without_warnings(n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        compile(solver._bound_source(n), "<bound test>", "exec")
-
-
 def _loop_bound(t, b, rate, lo, hi, cnt, idx, inc):
-    """The bound test of a node as loops over the links and the subsets,
-    which the generated test unrolls: True when the node is pruned. Every
-    subset's average is evaluated in full, so a subset the generated
-    test's pre-test clears must not prune here either."""
+    """The bound test of a node written from its definitions: the rule
+    that prunes the node, or None. The needy-set sum is the best capacity
+    of any link at each unvisited position, summed from position M-1
+    down."""
     n, m_total = len(rate), len(t.visit)
     last, remaining = m_total - 1, m_total - idx
     slack = inc * 1e-12
     dead = inc - slack
-    e_of, k_of, slots_of = {}, {}, {}
-    needed = 0
-    for l in range(n):
-        if rate[l] > inc:
-            continue
+    needy = [l for l in range(n) if rate[l] <= inc]
+    needed, reach = 0, -1
+    for l in needy:
         if cnt[l]:
             e = min(lo[l] + b - 1, last)
-            e_of[l] = t.reach_pos[e]
-            sums = t.topk(1 << l, idx, hi[l] - b + 1, e)
+            reach = max(reach, t.reach_pos[e])
+            sums = t.topk(l, idx, hi[l] - b + 1, e)
             slots = min(len(sums) - 1, b - cnt[l])
             gain = sums[slots]
         else:
-            e_of[l] = last
+            reach = last
             slots = min(b, remaining)
-            sums = t.topk(1 << l, idx, t.first[idx], t.final[idx])
+            sums = t.topk(l, idx, t.first[idx], t.final[idx])
             gain = min(sums[slots], t.best_window[l][idx])
-        slots_of[l] = slots
         if rate[l] + gain < dead:
-            return True
+            return "link"
         deficit = inc - rate[l] - slack
-        k_of[l] = 0
         if deficit > 0.0:
-            k_of[l] = bisect.bisect_left(sums, deficit, 1, slots + 1)
-            if k_of[l] > slots:
-                return True
-        needed += k_of[l]
+            k = bisect.bisect_left(sums, deficit, 1, slots + 1)
+            if k > slots:
+                return "link count"
+            needed += k
     if needed > remaining:
-        return True
-    if n > solver._MAX_SUBSET_LINKS:
-        return False
-    for mask in range(1, 1 << n):
-        members = [l for l in range(n) if mask >> l & 1]
-        if len(members) < 2 or any(l not in e_of for l in members):
-            continue
-        rate_sum = 0.0
-        for l in members:
-            rate_sum += rate[l]
-        slots = sum(slots_of[l] for l in members)
-        reach = max(0, max(e_of[l] for l in members) - idx + 1)
-        if sum(k_of[l] for l in members) > min(reach, slots):
-            return True
-        # the subset's best capacity per position, and its suffix sums
-        cap_sum, start, rest = 0.0, idx, set(members)
-        for l in sorted(members, key=e_of.__getitem__):
-            if start <= e_of[l]:
-                row = [max(t.vcap[o][q] for o in members if o in rest)
-                       for q in range(m_total)]
-                suffix = list(itertools.accumulate(reversed(row),
-                                                   initial=0.0))[::-1]
-                cap_sum += suffix[start] - suffix[e_of[l] + 1]
-                start = e_of[l] + 1
-            rest.remove(l)
-            if start >= m_total:
-                break
-        sums = t.topk(mask, idx, t.first[idx], t.final[idx])
-        if len(sums) - 1 > min(slots, remaining):
-            cap_sum = min(cap_sum, sums[min(slots, remaining)])
-        if (rate_sum + cap_sum) / len(members) < dead:
-            return True
-    return False
+        return "count"
+    if len(needy) < 2:
+        return None
+    if needed > max(0, reach - idx + 1):
+        return "needy count"
+    best = 0.0
+    for q in range(m_total - 1, idx - 1, -1):
+        best += max(row[q] for row in t.vcap)
+    rate_sum = 0.0
+    for l in needy:
+        rate_sum += rate[l]
+    if (rate_sum + best) / len(needy) < dead:
+        return "needy average"
+    return None
 
 
-def test_subset_pre_test_reads_members_at_the_subsets_slots():
-    # at the root with b = 1 each link passes its own bound (one channel of
-    # 1 against the incumbent 0.9), but the pair has two slots, worth 1.5
-    # together, and averages 0.75; link 0's whole tail, 3.5, would clear it
-    cap = [[1, 0.5, 0.5, 0.5, 0.5, 0.5], [1, 0, 0, 0, 0, 0]]
-    t = solver._at_bound(solver._Tables(_instance(cap, 1)), 0, 1)
-    state = ([0.0, 0.0], [6, 6], [-1, -1], [0, 0])
-    assert solver._bound_test(2)(*state, t, 1, bisect.bisect_left)(0, 0.9)
-    assert _loop_bound(t, 1, *state, 0, 0.9)
+@pytest.mark.parametrize("cap, state, idx, inc, rule", [
+    # at depth 2, link 0 holding channel 0 can still reach channel 2 only
+    # and needs it, and link 1 holding channel 1 needs channels 2 and 3:
+    # three channels for the two positions 2..3 they reach. Channel 4's
+    # 10 keeps their average above the incumbent
+    ([[1, 0, 1, 0, 10], [0, 1, 0.5, 0.5, 0]],
+     ([1.0, 1.0], [0, 1], [0, 1], [1, 1]), 2, 1.9, "needy count"),
+    # at the root each link can still collect 2 and their needs fit, but
+    # the best capacities, 2 in all, average 1 over the two links
+    ([[1, 1, 0, 0], [1, 1, 0, 0]],
+     ([0.0, 0.0], [4, 4], [-1, -1], [0, 0]), 0, 1.5, "needy average"),
+])
+def test_needy_set_bound_prunes_where_no_link_does(cap, state, idx, inc,
+                                                   rule):
+    b = 3
+    t = solver._at_bound(solver._Tables(_instance(cap, b)), 0, b)
+    assert _loop_bound(t, b, *state, idx, inc) == rule
+    assert solver._bound(*state, t, b)(idx, inc)
+    # with one link above the incumbent no needy set is left to prune
+    rate = [inc * 2, state[0][1]]
+    assert _loop_bound(t, b, rate, *state[1:], idx, inc) is None
+    assert not solver._bound(rate, *state[1:], t, b)(idx, inc)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -784,7 +715,7 @@ def test_bound_test_matches_its_loops(n):
                    else rng.integers(0, 4, size=(n, m)) * 0.1)
         else:
             # links that rank the channels alike compete for them, so that
-            # more subset averages prune, some only by the subset's slots
+            # more needy-set bounds prune
             cap = rng.uniform(0, 1, size=m) * rng.uniform(0.8, 1, size=(n, m))
             if case % 2:
                 cap = np.round(cap * 4) * 0.1
@@ -802,17 +733,15 @@ def test_bound_test_matches_its_loops(n):
                         lo[l], hi[l] = min(lo[l], c), max(hi[l], c)
                         cnt[l] += 1
                 # about the smallest link's optimistic rate, so that many
-                # states pass the per-link bounds and reach the subsets
+                # states pass the per-link bounds and reach the needy set
                 ceiling = min(r + sum(sorted(row[idx:])[::-1][:b])
                               for r, row in zip(rate, t.vcap))
                 inc = ceiling * float(rng.uniform(0.5, 1.05))
-                bound = solver._bound_test(n)(rate, lo, hi, cnt, t, b,
-                                              bisect.bisect_left)
-                pruned = bound(idx, inc)
-                assert pruned == _loop_bound(t, b, rate, lo, hi, cnt, idx,
-                                             inc)
-                outcomes.append(pruned)
-    assert True in outcomes and False in outcomes
+                bound = solver._bound(rate, lo, hi, cnt, t, b)
+                rule = _loop_bound(t, b, rate, lo, hi, cnt, idx, inc)
+                assert bound(idx, inc) == (rule is not None)
+                outcomes.append(rule)
+    assert None in outcomes and set(outcomes) != {None}
 
 
 def test_race_is_deterministic_under_thread_switching(monkeypatch):
@@ -881,27 +810,26 @@ def test_window_tables_match_their_definition(order, monkeypatch):
     # a tail the search built is the memo's list of every unvisited channel
     assert any(t.tails)
     for p, row in enumerate(t.tails):
-        for mask, tail in row.items():
-            assert tail is t.topk(mask, p, t.first[p], t.final[p])
+        for l, tail in row.items():
+            assert tail is t.topk(l, p, t.first[p], t.final[p])
+    assert t.best_suffix[m_total] == 0.0
     for p in range(m_total):
         unvisited = t.visit[p:]
-        # a subset's tail sums its members' per-channel maxima
-        for mask in range(1, 1 << n):
-            best = cap[[l for l in range(n) if mask >> l & 1]].max(axis=0)
-            assert (t.topk(mask, p, t.first[p], t.final[p])
-                    == topk(best.tolist(), unvisited))
+        # the best capacity of any link per unvisited channel, summed
+        assert t.best_suffix[p] == math.fsum(cap[:, m].max()
+                                             for m in unvisited)
         for l in range(n):
             row = cap[l].tolist()
-            tail = t.topk(1 << l, p, t.first[p], t.final[p])
-            assert t.topk(1 << l, p, -m_total, 2 * m_total) is tail
+            tail = t.topk(l, p, t.first[p], t.final[p])
+            assert t.topk(l, p, -m_total, 2 * m_total) is tail
             for a in range(-m_total, m_total):
                 for e in range(max(a, 0), m_total + 2):
-                    got = t.topk(1 << l, p, a, e)
+                    got = t.topk(l, p, a, e)
                     assert got == topk(row, [m for m in unvisited
                                              if a <= m <= e])
                     # a window clamped to the unvisited range holds the
                     # same channels, and gives the same list
-                    assert got is t.topk(1 << l, p, max(a, t.first[p]),
+                    assert got is t.topk(l, p, max(a, t.first[p]),
                                          min(e, t.final[p]))
 
 
