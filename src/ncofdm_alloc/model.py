@@ -118,7 +118,8 @@ class InterfererSpec:
     db_above_noise: float
 
     def __post_init__(self):
-        chans = tuple(int(c) for c in self.channels)
+        chans = tuple(as_int(c, f"interferer {self.name!r}: channel")
+                      for c in self.channels)
         if not chans:
             raise ValidationError(f"interferer {self.name!r}: empty channel set")
         if any(c < 1 for c in chans):
@@ -149,6 +150,9 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
         object.__setattr__(self, "interferers", tuple(self.interferers))
+        for name in ("num_channels", "span_bound", "rng_seed",
+                     "subcarriers_per_channel"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         self.validate(strict_bounds=False)
         if self.span_bound < self.min_span_bound:
             warnings.warn(
@@ -205,7 +209,7 @@ class ScenarioConfig:
         if not 1 <= self.span_bound <= self.num_channels:
             raise ValidationError(
                 f"span_bound must be in [1, {self.num_channels}]")
-        if int(self.rng_seed) < 0:
+        if self.rng_seed < 0:
             raise ValidationError("rng_seed must be a nonnegative integer")
         names = [spec.name for spec in self.interferers]
         if len(set(names)) != len(names):

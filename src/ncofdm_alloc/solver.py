@@ -74,9 +74,12 @@ canonical arithmetic. Feasibility pruning enforces the per-link span cap
 incrementally. Bound pruning uses three admissible (never
 underestimating) devices:
 
-* per-link optimistic bounds: current rate plus the best the link could
-  still collect from the unvisited channels of its feasible windows, also
-  capped by the number of channels that still fit in its span window;
+* per-link optimistic bounds, one formula for every link: a link holding
+  c channels in [lo, hi] (lo = M, hi = -1 while it holds none) can still
+  reach the unvisited channels numbered hi - b + 1..lo + b - 1, at most
+  b - c of them, so its bound is its rate plus the b - c largest
+  capacities among them; a link that holds none is also capped by its
+  best width-b window of unvisited capacities;
 * a per-link counting cut: each link needs some minimum number of
   remaining channels to beat the incumbent, and those needs must fit into
   the remaining channel count;
@@ -113,10 +116,10 @@ Skipping it changes no prune.
 
 The first incumbent is the best, under `_beats`, of a few candidates: the
 equal contiguous blocks dealt to the links in every order (for up to six
-links), a greedy fill, the empty allocation and any warm start. A block
-candidate is scored from each link's block sums, each summed from 0.0 in
-channel order as a leaf's rates are, so its (maxmin, total) are the
-canonical ones, and its owner vector is built only to break a tie.
+links), the empty allocation and any warm start. A block candidate is
+scored from each link's block sums, each summed from 0.0 in channel
+order as a leaf's rates are, so its (maxmin, total) are the canonical
+ones, and its owner vector is built only to break a tie.
 
 Two dominance rules are applied on top. Each skips a branch only when
 every completion of it is beaten, under `_beats`, by a feasible
@@ -327,27 +330,6 @@ def _best_block(cap, n, m_total, b):
     return (*best_key, owners(best))
 
 
-def _greedy_candidate(cap, n, m_total, b):
-    """Ascending channels, each given to the currently poorest link that can
-    still take it without breaking its span window."""
-    owners = [-1] * m_total
-    rate = [0.0] * n
-    lo = [m_total] * n
-    for m in range(m_total):
-        best = -1
-        for l in range(n):
-            if lo[l] < m_total and m - lo[l] + 1 > b:
-                continue
-            if best < 0 or rate[l] < rate[best]:
-                best = l
-        if best >= 0:
-            owners[m] = best
-            rate[best] += cap[best][m]
-            if lo[best] == m_total:
-                lo[best] = m
-    return owners
-
-
 # ---------------------------------------------------------------------------
 # Visit orders
 # ---------------------------------------------------------------------------
@@ -370,11 +352,10 @@ def _order(cap, visit):
     ranking[l]: link l's positions, best capacity first; topk(l, p, a, e):
     the sums [0, v1, v1 + v2, ...] of link l's capacities at the unvisited
     channels numbered a..e, taken in ranking order, so largest first; memo:
-    its lists by (l, p, a, e); tails[p][l]: topk over every unvisited
-    channel, filled by the search on first use; best_suffix[p]: the sum
-    over positions p..M-1 of the best capacity of any link there, summed
-    from position M-1 down; reach_pos[e]: the last position of a channel
-    numbered at most e; first[p]/final[p]: the lowest and highest unvisited
+    its lists by (l, p, a, e); best_suffix[p]: the sum over positions
+    p..M-1 of the best capacity of any link there, summed from position
+    M-1 down; reach_pos[e]: the last position of a channel numbered at
+    most e; first[p]/final[p]: the lowest and highest unvisited
     channel at depth p, and u_min[p]/u_max[p] those visited after depth p;
     margin, exchange and below: the dominance margin and the
     pairwise-exchange bitmasks, exchange[p] filled by the search from
@@ -386,11 +367,11 @@ def _order(cap, visit):
     channel numbers. It keeps each list for every later node, of any
     search of this order at any span bound, that asks for the same
     channels: the window is clamped to [first[p], final[p]], so windows
-    that differ only outside it share one list, and one that covers every
-    unvisited channel is the tail. An anchored link's window is set by its
-    range [lo, hi], one of at most M·b, so a span bound adds at most
-    N·M²·b lists of at most 2b sums; the tails add one list per link and
-    depth."""
+    that differ only outside it share one list, and every link that holds
+    no channel reads the one list of all unvisited channels. A link's
+    window is set by its range [lo, hi], one of at most M·b, so a span
+    bound adds at most N·M²·b lists of at most 2b sums, plus one list of
+    at most M sums per link and depth."""
     n, m_total = len(cap), len(visit)
     vcap = [[row[m] for m in visit] for row in cap]
     position = [0] * m_total
@@ -408,7 +389,6 @@ def _order(cap, visit):
     unvisited = list(itertools.accumulate((1 << m for m in reversed(visit)),
                                           operator.or_, initial=0))[::-1]
     memo = {}
-    tails = [{} for _ in range(m_total)]
 
     def topk(l, p, a, e):
         if a < first[p]:
@@ -461,7 +441,7 @@ def _order(cap, visit):
     below = list(itertools.accumulate((1 << p for p in position),
                                       operator.or_, initial=0))
     return SimpleNamespace(visit=visit, position=position, vcap=vcap,
-                           memo=memo, topk=topk, tails=tails,
+                           memo=memo, topk=topk,
                            best_suffix=best_suffix,
                            reach_pos=reach_pos, first=first, final=final,
                            u_min=first[1:], u_max=final[1:],
@@ -533,17 +513,14 @@ def _bound(rate, lo, hi, cnt, t, b):
     over the links at or below the incumbent, then, when there are two or
     more of them, their needy-set bound (see the module docstring)."""
     m_total = len(t.visit)
-    last = m_total - 1
 
-    def bound(idx, inc, memo_get=t.memo.get, topk=t.topk, tails=t.tails,
-              first=t.first, final=t.final, reach_pos=t.reach_pos,
+    def bound(idx, inc, memo_get=t.memo.get, topk=t.topk, first=t.first,
+              final=t.final, reach_pos=t.reach_pos,
               best_window=t.best_window, best_suffix=t.best_suffix,
               bisect_left=bisect.bisect_left):
         remaining = m_total - idx
         slack = inc * 1e-12
         dead = inc - slack
-        slots = b if b < remaining else remaining
-        tail = tails[idx]
         # the lowest and highest unvisited channel
         f = first[idx]
         fi = final[idx]
@@ -555,32 +532,26 @@ def _bound(rate, lo, hi, cnt, t, b):
         for l, r in enumerate(rate):
             if r > inc:
                 continue
+            # a link's windows start in [hi - b + 1, lo], so it can still
+            # reach channels hi - b + 1..lo + b - 1, at most b - c of them;
+            # the channels above fi are visited. An unanchored link
+            # (lo = M, hi = -1) reaches every unvisited channel, at most b
+            # of them in one width-b window.
             c = cnt[l]
-            if c:
-                # an anchored link's windows start in [hi - b + 1, lo], so
-                # it can still reach channels hi - b + 1..lo + b - 1, at
-                # most b - c of them; the channels above fi are visited
-                e = lo[l] + b - 1
-                if e > fi:
-                    e = fi
-                a = hi[l] - b + 1
-                u = memo_get((l, idx, a if a > f else f, e))
-                if u is None:
-                    u = topk(l, idx, a, e)
-                s = len(u) - 1
-                if s > b - c:
-                    s = b - c
-                g = u[s]
-                e = reach_pos[e]
-            else:
-                e = last
-                s = slots
-                u = tail.get(l)
-                if u is None:
-                    u = tail[l] = topk(l, idx, f, fi)
-                g = u[s]
-                if best_window[l][idx] < g:
-                    g = best_window[l][idx]
+            e = lo[l] + b - 1
+            if e > fi:
+                e = fi
+            a = hi[l] - b + 1
+            u = memo_get((l, idx, a if a > f else f, e))
+            if u is None:
+                u = topk(l, idx, a, e)
+            s = len(u) - 1
+            if s > b - c:
+                s = b - c
+            g = u[s]
+            if not c and best_window[l][idx] < g:
+                g = best_window[l][idx]
+            e = reach_pos[e]
             if r + g < dead:
                 return True
             # the sums are nondecreasing (capacities are >= 0), so a
@@ -673,7 +644,7 @@ def solve(inst: ProblemInstance, *,
 
     # --- incumbent ------------------------------------------------------
     best_value, best_total, best_owner = _best_block(cap, n, m_total, b)
-    candidates = [_greedy_candidate(cap, n, m_total, b), [-1] * m_total]
+    candidates = [[-1] * m_total]
     if warm_start is not None:
         ws = as_allocation(warm_start)
         if ws.entries.shape != (n, m_total):

@@ -310,6 +310,21 @@ def test_config_rejects_bad_scalars():
             _config(**bad)
 
 
+# a float, whole or not, or a boolean where an integer belongs fails at
+# construction, as it does in ProblemInstance
+@pytest.mark.parametrize("bad", [
+    dict(num_channels=6.0), dict(span_bound=3.0), dict(rng_seed=True),
+    dict(rng_seed=1.5), dict(subcarriers_per_channel=2.5),
+    dict(channels=(1.7, 2)), dict(channels=(True,)),
+], ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
+def test_config_rejects_non_integer_fields(bad):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        if "channels" in bad:
+            InterfererSpec(name="X", db_above_noise=3.0, **bad)
+        else:
+            _config(**bad)
+
+
 def test_link_spec_positions_and_distance():
     link = LinkSpec(id="a", tx=(0.0, 0.0), rx=(3.0, 4.0))
     assert link.length() == 5.0

@@ -599,7 +599,7 @@ _LINK_COUNT_NODES = {
     (3, "uniform"): [474, 162, 171],
     (3, "tenths"): [930, 1278, 2687],
     (7, "uniform"): [2775, 10867, 3601],
-    (8, "uniform"): [2458, 7413, 2368],
+    (8, "uniform"): [2458, 7410, 2368],
 }
 
 
@@ -789,7 +789,7 @@ def test_window_tables_match_their_definition(order, monkeypatch):
     cap = rng.integers(0, 40, size=(3, 9)).astype(float)
     n, m_total = cap.shape
     tables = solver._Tables(_instance(cap))
-    # one-node turns, so that both orders search and fill their tails
+    # one-node turns, so that both orders search and fill their memos
     monkeypatch.setattr(solver, "_SLICE_NODES", 1)
     assert solve(_instance(cap, 4), tables=tables).proven_optimal
 
@@ -807,11 +807,13 @@ def test_window_tables_match_their_definition(order, monkeypatch):
                            for s in range(m_total - b + 1)]
                 assert t.best_window[l][p] == max(windows)
     t = tables.order(order)
-    # a tail the search built is the memo's list of every unvisited channel
-    assert any(t.tails)
-    for p, row in enumerate(t.tails):
-        for l, tail in row.items():
-            assert tail is t.topk(l, p, t.first[p], t.final[p])
+    # the lists the search built for unanchored links, at the key of every
+    # unvisited channel, hold those channels' sums
+    built = [key for key in t.memo
+             if key[2:] == (t.first[key[1]], t.final[key[1]])]
+    assert built
+    for l, p, a, e in built:
+        assert t.memo[l, p, a, e] == topk(cap[l].tolist(), t.visit[p:])
     assert t.best_suffix[m_total] == 0.0
     for p in range(m_total):
         unvisited = t.visit[p:]
