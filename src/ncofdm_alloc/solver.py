@@ -74,12 +74,12 @@ canonical arithmetic. Feasibility pruning enforces the per-link span cap
 incrementally. Bound pruning uses three admissible (never
 underestimating) devices:
 
-* per-link optimistic bounds, one formula for every link: a link holding
+* per-link optimistic bounds, one rule for every link: a link holding
   c channels in [lo, hi] (lo = M, hi = -1 while it holds none) can still
   reach the unvisited channels numbered hi - b + 1..lo + b - 1, at most
   b - c of them, so its bound is its rate plus the b - c largest
-  capacities among them; a link that holds none is also capped by its
-  best width-b window of unvisited capacities;
+  capacities among them, capped by its best width-b window of unvisited
+  capacities, since the channels it gains all lie in one such window;
 * a per-link counting cut: each link needs some minimum number of
   remaining channels to beat the incumbent, and those needs must fit into
   the remaining channel count;
@@ -359,7 +359,8 @@ def _order(cap, visit):
     channel at depth p, and u_min[p]/u_max[p] those visited after depth p;
     margin, exchange and below: the dominance margin and the
     pairwise-exchange bitmasks, exchange[p] filled by the search from
-    exchange_row(p) on its first visit of depth p.
+    exchange_row(p) on its first visit of depth p, by bisections in each
+    link's capacities in ascending order, its ranking reversed.
 
     The unvisited channels may be scattered over the index, so topk
     gathers them from the ranking, and stops once it has them all: their
@@ -421,9 +422,10 @@ def _order(cap, visit):
     # the search fills a depth's row from exchange_row on its first visit
     margin = 1e-9 * math.fsum(itertools.chain.from_iterable(vcap))
     ranks = []
-    for row in vcap:
-        # ascending capacities, and the positions of the k smallest
-        rising = sorted(range(m_total), key=row.__getitem__)
+    for row, ranked in zip(vcap, ranking):
+        # ascending capacities, and the positions of the k smallest (no
+        # bisection below splits a run of equal capacities)
+        rising = ranked[::-1]
         smallest = list(itertools.accumulate((1 << q for q in rising),
                                              operator.or_, initial=0))
         ranks.append((row, [row[q] for q in rising], smallest))
@@ -506,12 +508,14 @@ def _at_bound(tables, i, b):
 # The bound test of a node
 # ---------------------------------------------------------------------------
 
-def _bound(rate, lo, hi, cnt, t, b):
+def _bound(rate, lo, hi, held, t, b):
     """The bound test of one search, on its state lists and its tables t:
     bound(idx, inc) is True when the node at depth idx is pruned against
-    the incumbent value inc. It runs the per-link bounds and counting cut
-    over the links at or below the incumbent, then, when there are two or
-    more of them, their needy-set bound (see the module docstring)."""
+    the incumbent value inc. A link's channel count is the number of bits
+    of its held positions, held[l]. It runs the per-link bounds, each
+    capped by the link's best window, and the counting cut over the links
+    at or below the incumbent, then, when there are two or more of them,
+    their needy-set bound (see the module docstring)."""
     m_total = len(t.visit)
 
     def bound(idx, inc, memo_get=t.memo.get, topk=t.topk, first=t.first,
@@ -532,12 +536,12 @@ def _bound(rate, lo, hi, cnt, t, b):
         for l, r in enumerate(rate):
             if r > inc:
                 continue
-            # a link's windows start in [hi - b + 1, lo], so it can still
-            # reach channels hi - b + 1..lo + b - 1, at most b - c of them;
-            # the channels above fi are visited. An unanchored link
-            # (lo = M, hi = -1) reaches every unvisited channel, at most b
-            # of them in one width-b window.
-            c = cnt[l]
+            # a link holding c channels (the bits of held[l]) has windows
+            # starting in [hi - b + 1, lo], so it can still reach channels
+            # hi - b + 1..lo + b - 1, at most b - c of them; the channels
+            # above fi are visited. An unanchored link (lo = M, hi = -1)
+            # reaches every unvisited channel. Either way the channels it
+            # gains lie in one width-b window, so its best one caps the gain.
             e = lo[l] + b - 1
             if e > fi:
                 e = fi
@@ -546,10 +550,11 @@ def _bound(rate, lo, hi, cnt, t, b):
             if u is None:
                 u = topk(l, idx, a, e)
             s = len(u) - 1
-            if s > b - c:
-                s = b - c
+            free = b - held[l].bit_count()
+            if s > free:
+                s = free
             g = u[s]
-            if not c and best_window[l][idx] < g:
+            if best_window[l][idx] < g:
                 g = best_window[l][idx]
             e = reach_pos[e]
             if r + g < dead:
@@ -671,23 +676,23 @@ def solve(inst: ProblemInstance, *,
         """One complete DFS over the tables t of a visit order, sharing the
         incumbent, as a generator that yields the estimated finished share
         of its tree whenever the node count passes stop_at."""
+        nonlocal nodes
         # owner[p] is the owner of channel visit[p]; [lo, hi] is the range
         # of channel numbers a link holds (lo = M, hi = -1 while it holds none)
         owner = [-1] * m_total
         rate = [0.0] * n
         lo = [m_total] * n
         hi = [-1] * n
-        cnt = [0] * n
         # held[l]: the positions link l holds, one bit each
         held = [0] * n
-        bound = _bound(rate, lo, hi, cnt, t, b)
+        bound = _bound(rate, lo, hi, held, t, b)
 
         # kids[p]: the children of the node at depth p, in search order:
         # the links it gives channel visit[p] to, then -1 if it also leaves
         # the channel unassigned
         kids = [None] * m_total
 
-        def dfs(idx, rate=rate, lo=lo, hi=hi, cnt=cnt, held=held,
+        def dfs(idx, rate=rate, lo=lo, hi=hi, held=held,
                 owner=owner, kids=kids, cap=t.vcap, cap_index=cap,
                 visit=t.visit, position=t.position, bound=bound,
                 u_min=t.u_min, u_max=t.u_max, exchange=t.exchange,
@@ -809,7 +814,6 @@ def solve(inst: ProblemInstance, *,
                     rate[l] = old_rate + cap[l][idx]
                     lo[l] = m if m < lo_l else lo_l
                     hi[l] = m if m > hi_l else hi_l
-                    cnt[l] += 1
                     held[l] = old_held | 1 << idx
                 # the child's entry: it counts, ends the turn past stop_at,
                 # and is searched unless its bound test prunes it
@@ -822,21 +826,16 @@ def solve(inst: ProblemInstance, *,
                     rate[l] = old_rate
                     lo[l] = lo_l
                     hi[l] = hi_l
-                    cnt[l] -= 1
                     held[l] = old_held
 
-        def root():
-            """The root's entry, as a parent runs each child's, then its
-            search."""
-            nonlocal nodes
+        # the root's entry, as a parent runs each child's, then its search
+        try:
             nodes += 1
             if nodes > stop_at:
-                yield 0
-            if not bound(0, best_value):
-                yield from dfs(0)
-
-        try:
-            for depth in root():
+                yield 0.0
+            if bound(0, best_value):
+                return
+            for depth in dfs(0):
                 # Knuth's estimate of the finished share of the tree: the
                 # root weighs 1, and each node splits its weight evenly over
                 # its children; the children left of the path are finished

@@ -87,9 +87,11 @@ def _milp(inst):
     return AllocationMatrix(entries), -res.mip_dual_bound * 1e6
 
 
-@pytest.mark.parametrize("active", [("A", "B", "C"), ("A",)],
-                         ids=["ABC", "A"])
-@pytest.mark.parametrize("b", [4, 8])
+# every interference environment of the benchmark and CI sweeps; b = 12
+# is b >= M, where largest-first runs alone
+@pytest.mark.parametrize("active", [("A", "B", "C"), ("A",), (), ("C",)],
+                         ids=["ABC", "A", "none", "C"])
+@pytest.mark.parametrize("b", [4, 8, 12])
 @pytest.mark.parametrize("entry", [0, 5])
 def test_grid_optimum_matches_highs(entry, b, active):
     gen, = rng_streams(np.random.default_rng((1000, entry)), 1)
