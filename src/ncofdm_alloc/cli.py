@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .guardband import GUARDBAND_MODES, insert_guardbands, validate_guardbands
-from .model import AllocationMatrix, RateResult, ValidationError, sequential_sum
+from .model import AllocationMatrix, RateResult, ValidationError
 from .scenario import (
     BUILTIN_SCENARIOS,
     builtin_scenario,
@@ -257,11 +257,9 @@ def cmd_guardband(args) -> int:
     ids_r, rate_values, rates_sha = _read_matrix_csv(rates_path)
     if ids_a != ids_r or alloc_values.shape != rate_values.shape:
         raise ValidationError("allocation and rates files do not line up")
-    allocation = AllocationMatrix(alloc_values)
-    per_link = np.array([sequential_sum(row) for row in rate_values])
-    rates = RateResult(per_channel=rate_values, per_link=per_link,
-                       maxmin=float(per_link.min()) if per_link.size else 0.0)
-    report = insert_guardbands(allocation, rates, mode=args.guardband_mode)
+    report = insert_guardbands(AllocationMatrix(alloc_values),
+                               RateResult(rate_values),
+                               mode=args.guardband_mode)
     if not validate_guardbands(report.output_allocation):
         raise RuntimeError("guarded allocation still has adjacent links; "
                            "guardband bug")

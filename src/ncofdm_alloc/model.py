@@ -4,17 +4,19 @@ Rates are bits/s everywhere inside the library; the CLI converts to Mbps
 only when writing CSV. Channel numbers are 1-based in configs, reports and
 CSV headers, and 0-based inside arrays.
 
-Per-link rates are accumulated as sequential float sums in ascending
-channel order. The solver and the exhaustive oracle use the same
-accumulation, so their objective values are bit-identical and can be
-compared exactly.
+No value is stored beside the data it follows from. A `ProblemInstance`
+reads its size from its capacity matrix, and a `RateResult` derives each
+link's rate, the sequential float sum of its row of per-channel rates in
+ascending channel order, and the max-min value from those rates. The
+solver and the exhaustive oracle use the same accumulation, so their
+objective values are bit-identical and can be compared exactly.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -235,29 +237,30 @@ class ProblemInstance:
     """A fully numeric allocation problem: per-link per-channel capacities
     plus the span bound. This is all the optimizer ever sees."""
 
-    num_links: int
-    num_channels: int
-    channel_bandwidth: float
     capacity: np.ndarray            # (num_links, num_channels), bits/s
     span_bound: int
 
     def __post_init__(self):
-        for name in ("num_links", "num_channels", "span_bound"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
         cap = np.array(self.capacity, dtype=np.float64)
-        if cap.shape != (self.num_links, self.num_channels):
-            raise ValidationError(
-                f"capacity shape {cap.shape} does not match "
-                f"({self.num_links}, {self.num_channels})")
-        if self.num_links < 1 or self.num_channels < 1:
-            raise ValidationError("need at least one link and one channel")
+        if cap.ndim != 2 or cap.size == 0:
+            raise ValidationError("capacity must be a nonempty 2-D matrix")
         if not np.all(np.isfinite(cap)) or np.any(cap < 0):
             raise ValidationError("capacities must be finite and >= 0")
+        cap.setflags(write=False)
+        object.__setattr__(self, "capacity", cap)
+        object.__setattr__(self, "span_bound",
+                           as_int(self.span_bound, "span_bound"))
         if not 1 <= self.span_bound <= self.num_channels:
             raise ValidationError(
                 f"span_bound must be in [1, {self.num_channels}]")
-        cap.setflags(write=False)
-        object.__setattr__(self, "capacity", cap)
+
+    @property
+    def num_links(self) -> int:
+        return self.capacity.shape[0]
+
+    @property
+    def num_channels(self) -> int:
+        return self.capacity.shape[1]
 
     def with_span_bound(self, span_bound: int) -> "ProblemInstance":
         return replace(self, span_bound=span_bound)
@@ -307,10 +310,6 @@ class AllocationMatrix:
     @property
     def num_channels(self) -> int:
         return self.entries.shape[1]
-
-    @classmethod
-    def zeros(cls, num_links: int, num_channels: int) -> "AllocationMatrix":
-        return cls(np.zeros((num_links, num_channels), dtype=np.int8))
 
     @classmethod
     def from_owner_vector(cls, owners: Sequence[int],
@@ -364,20 +363,25 @@ def as_allocation(obj) -> AllocationMatrix:
 
 @dataclass(frozen=True)
 class RateResult:
-    """Per-channel and per-link rates for one allocation, bits/s."""
+    """Per-channel rates of one allocation, bits/s, and what they fix:
+    each link's rate, the sequential sum of its row, and the minimum of
+    those, `maxmin`."""
 
     per_channel: np.ndarray        # (num_links, num_channels)
-    per_link: np.ndarray           # (num_links,)
-    maxmin: float
+    per_link: np.ndarray = field(init=False)      # (num_links,)
+    maxmin: float = field(init=False)
 
     def __post_init__(self):
         pc = _frozen_array(self.per_channel, np.float64)
-        pl = _frozen_array(self.per_link, np.float64)
-        if pc.ndim != 2 or pl.shape != (pc.shape[0],):
-            raise ValidationError("rate arrays have inconsistent shapes")
+        if pc.ndim != 2 or pc.size == 0:
+            raise ValidationError("rates must be a nonempty 2-D matrix")
+        if not np.all(np.isfinite(pc)) or np.any(pc < 0):
+            raise ValidationError("rates must be finite and >= 0")
+        per_link = [sequential_sum(row) for row in pc.tolist()]
         object.__setattr__(self, "per_channel", pc)
-        object.__setattr__(self, "per_link", pl)
-        object.__setattr__(self, "maxmin", float(self.maxmin))
+        object.__setattr__(self, "per_link",
+                           _frozen_array(per_link, np.float64))
+        object.__setattr__(self, "maxmin", min(per_link))
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +470,6 @@ def sequential_sum(values) -> float:
     return total
 
 
-def link_rate(capacity_row, allocation_row) -> float:
-    """Canonical per-link rate: the sequential sum of assigned capacities
-    in ascending channel order."""
-    return sequential_sum(capacity_row[m] for m in range(len(allocation_row))
-                          if allocation_row[m])
-
-
 def evaluate_rates(inst: ProblemInstance, allocation) -> RateResult:
     """Rates achieved by an allocation: each assigned channel runs at
     capacity, unassigned channels contribute nothing."""
@@ -483,9 +480,4 @@ def evaluate_rates(inst: ProblemInstance, allocation) -> RateResult:
             f"instance shape {inst.capacity.shape}")
     if not alloc.is_orthogonal():
         raise ValidationError("allocation shares a channel between links")
-    per_channel = inst.capacity * alloc.entries
-    per_link = [link_rate(inst.capacity[l], alloc.entries[l])
-                for l in range(inst.num_links)]
-    return RateResult(per_channel=per_channel,
-                      per_link=np.array(per_link),
-                      maxmin=min(per_link))
+    return RateResult(inst.capacity * alloc.entries)

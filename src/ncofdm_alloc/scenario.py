@@ -238,8 +238,7 @@ def realize_gains(cfg: ScenarioConfig, rng) -> GainMatrix:
 
 
 def instance_from_gains(cfg: ScenarioConfig, gains: GainMatrix,
-                        active_interferers=None,
-                        span_bound: int | None = None) -> ProblemInstance:
+                        active_interferers=None) -> ProblemInstance:
     """Capacities from gains and the active interference pattern."""
     n, m_total = cfg.num_links, cfg.num_channels
     if gains.values.shape != (n, m_total):
@@ -254,10 +253,7 @@ def instance_from_gains(cfg: ScenarioConfig, gains: GainMatrix,
             sinr = compute_sinr(power, float(gains.values[l, m]),
                                 noise, float(u_row[m]))
             capacity[l, m] = compute_capacity(bandwidth, sinr)
-    return ProblemInstance(
-        num_links=n, num_channels=m_total,
-        channel_bandwidth=bandwidth, capacity=capacity,
-        span_bound=cfg.span_bound if span_bound is None else span_bound)
+    return ProblemInstance(capacity=capacity, span_bound=cfg.span_bound)
 
 
 def realize_instance(cfg: ScenarioConfig, active_interferers=None,
@@ -336,7 +332,6 @@ class ExperimentResult:
 def reallocation_experiment(cfg: ScenarioConfig,
                             baseline_interferers,
                             new_interferers,
-                            span_bound: int | None = None,
                             rng=None, *,
                             node_budget: int = DEFAULT_NODE_BUDGET) -> ExperimentResult:
     """Run the three-condition comparison on a single fading realization.
@@ -347,8 +342,8 @@ def reallocation_experiment(cfg: ScenarioConfig,
     baseline = resolve_interferers(cfg, baseline_interferers)
     new = resolve_interferers(cfg, new_interferers)
     gains = realize_gains(cfg, rng)
-    inst0 = instance_from_gains(cfg, gains, baseline, span_bound=span_bound)
-    inst1 = instance_from_gains(cfg, gains, new, span_bound=span_bound)
+    inst0 = instance_from_gains(cfg, gains, baseline)
+    inst1 = instance_from_gains(cfg, gains, new)
     base_res = solve(inst0, node_budget=node_budget)
     frozen = evaluate_rates(inst1, base_res.allocation)
     realloc = solve(inst1, node_budget=node_budget,

@@ -48,8 +48,7 @@ def _ok(criterion, message):
 
 def _instance(cap, b):
     cap = np.asarray(cap, dtype=float)
-    return ProblemInstance(num_links=cap.shape[0], num_channels=cap.shape[1],
-                           channel_bandwidth=1e5, capacity=cap, span_bound=b)
+    return ProblemInstance(capacity=cap, span_bound=b)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,7 @@ def _reallocation_runs(realizations=50):
     for k in range(realizations):
         for j, name in enumerate(("A", "C")):
             exp = reallocation_experiment(
-                cfg, set(), {name}, span_bound=4,
+                cfg, set(), {name},
                 rng=np.random.default_rng((20240904, k, j)))
             yield name, exp
 

@@ -27,8 +27,7 @@ def _curves(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 7))
     cap = np.array([[draw(_CAPACITY) for _ in range(m)] for _ in range(n)])
-    inst = ProblemInstance(num_links=n, num_channels=m,
-                           channel_bandwidth=1e5, capacity=cap, span_bound=m)
+    inst = ProblemInstance(capacity=cap, span_bound=m)
     b_values = sorted(draw(st.sets(st.integers(1, m), min_size=1)))
     return inst, b_values
 

@@ -17,9 +17,7 @@ from ncofdm_alloc.model import (
 
 def _rates_for(cap, allocation):
     cap = np.asarray(cap, dtype=float)
-    inst = ProblemInstance(num_links=cap.shape[0], num_channels=cap.shape[1],
-                           channel_bandwidth=1e5, capacity=cap,
-                           span_bound=cap.shape[1])
+    inst = ProblemInstance(capacity=cap, span_bound=cap.shape[1])
     return evaluate_rates(inst, allocation)
 
 
@@ -178,21 +176,14 @@ def test_validate_guardbands_cases():
 
 def test_rejects_inconsistent_rates():
     a = [[1, 0], [0, 1]]
-    good = _rates_for(np.ones((2, 2)), a)
-    bad_support = RateResult(per_channel=np.array([[1.0, 1.0], [0.0, 1.0]]),
-                             per_link=np.array([2.0, 1.0]), maxmin=1.0)
+    bad_support = RateResult(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         insert_guardbands(a, bad_support)
-    bad_totals = RateResult(per_channel=good.per_channel,
-                            per_link=good.per_link + 1.0, maxmin=good.maxmin)
-    with pytest.raises(ValidationError):
-        insert_guardbands(a, bad_totals)
 
 
 def test_rejects_non_orthogonal_input():
     a = [[1, 0], [1, 0]]
-    rates = RateResult(per_channel=np.ones((2, 2)),
-                       per_link=np.array([2.0, 2.0]), maxmin=2.0)
+    rates = RateResult(np.ones((2, 2)))
     with pytest.raises(ValidationError):
         insert_guardbands(a, rates)
     with pytest.raises(ValidationError):

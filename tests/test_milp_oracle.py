@@ -96,7 +96,8 @@ def _milp(inst):
 def test_grid_optimum_matches_highs(entry, b, active):
     gen, = rng_streams(np.random.default_rng((1000, entry)), 1)
     gains = realize_gains(GRID4X12, gen)
-    inst = instance_from_gains(GRID4X12, gains, set(active), span_bound=b)
+    inst = instance_from_gains(GRID4X12, gains,
+                               set(active)).with_span_bound(b)
     res = solve(inst)
     assert res.proven_optimal
     allocation, upper_bound = _milp(inst)
@@ -123,7 +124,7 @@ def _wide_instance(n, m_total, b):
             name="C", channels=tuple(range(3 * m_total // 4, m_total)),
             db_above_noise=33.0),))
     gains = realize_gains(cfg, np.random.default_rng((1000, 0)))
-    return instance_from_gains(cfg, gains, {"C"}, span_bound=b)
+    return instance_from_gains(cfg, gains, {"C"}).with_span_bound(b)
 
 
 # draws where the needy-set bound does much of the pruning: the solver's

@@ -8,12 +8,12 @@ from ncofdm_alloc.model import (
     InterfererSpec,
     LinkSpec,
     ProblemInstance,
+    RateResult,
     ScenarioConfig,
     ValidationError,
     compute_capacity,
     compute_sinr,
     evaluate_rates,
-    link_rate,
     path_loss_gain,
     rng_streams,
     sample_rician_power_gain,
@@ -177,8 +177,7 @@ def test_span_rejects_nonbinary():
 
 def _instance(cap, b=None):
     cap = np.asarray(cap, dtype=float)
-    return ProblemInstance(num_links=cap.shape[0], num_channels=cap.shape[1],
-                           channel_bandwidth=1e5, capacity=cap,
+    return ProblemInstance(capacity=cap,
                            span_bound=b if b is not None else cap.shape[1])
 
 
@@ -235,10 +234,6 @@ def test_evaluate_rates_rejects_shared_channel():
     inst = _instance([[1e6, 2e6], [3e6, 4e6]])
     with pytest.raises(ValidationError):
         evaluate_rates(inst, [[1, 0], [1, 0]])
-
-
-def test_link_rate_skips_unassigned():
-    assert link_rate([1.0, 2.0, 4.0], [1, 0, 1]) == 5.0
 
 
 def test_sequential_sum_adds_left_to_right():
@@ -351,25 +346,61 @@ def test_problem_instance_validation():
         _instance([[1.0, math.inf]])
     with pytest.raises(ValidationError):
         _instance([[1.0, 2.0]], b=3)
-    # sizes and bounds must be integers, never truncated
-    for field, value in (("span_bound", 2.5), ("span_bound", 2.0),
-                         ("span_bound", True), ("num_links", 1.0),
-                         ("num_channels", 2.0), ("num_channels", "2")):
-        kwargs = dict(num_links=1, num_channels=2, channel_bandwidth=1e5,
-                      capacity=[[1.0, 2.0]], span_bound=2)
-        kwargs[field] = value
+    # span bounds must be integers, never truncated
+    for value in (2.5, 2.0, True):
         with pytest.raises(ValidationError,
-                           match=f"{field} must be an integer"):
-            ProblemInstance(**kwargs)
+                           match="span_bound must be an integer"):
+            ProblemInstance(capacity=[[1.0, 2.0]], span_bound=value)
     with pytest.raises(ValidationError, match="span_bound must be an integer"):
         _instance([[1.0, 2.0, 3.0]]).with_span_bound(2.9)
     # numpy integers are accepted and stored as int
-    inst = ProblemInstance(num_links=np.int32(1), num_channels=np.int64(3),
-                           channel_bandwidth=1e5, capacity=[[1.0, 2.0, 3.0]],
+    inst = ProblemInstance(capacity=[[1.0, 2.0, 3.0]],
                            span_bound=np.uint8(3)).with_span_bound(np.int64(2))
     assert (inst.num_links, inst.num_channels, inst.span_bound) == (1, 3, 2)
     assert all(type(v) is int
                for v in (inst.num_links, inst.num_channels, inst.span_bound))
+    for cap in ([1.0, 2.0], [[]], np.ones((1, 2, 2))):
+        with pytest.raises(ValidationError, match="nonempty 2-D matrix"):
+            ProblemInstance(capacity=cap, span_bound=1)
+
+
+@pytest.mark.parametrize("cls, kwargs, extra", [
+    (ProblemInstance, dict(capacity=[[1.0, 2.0]], span_bound=2),
+     dict(num_links=1)),
+    (ProblemInstance, dict(capacity=[[1.0, 2.0]], span_bound=2),
+     dict(num_channels=2)),
+    (ProblemInstance, dict(capacity=[[1.0, 2.0]], span_bound=2),
+     dict(channel_bandwidth=1e5)),
+    (RateResult, dict(per_channel=[[1.0, 2.0]]), dict(per_link=[3.0])),
+    (RateResult, dict(per_channel=[[1.0, 2.0]]), dict(maxmin=3.0)),
+])
+def test_sizes_and_derived_rates_are_not_arguments(cls, kwargs, extra):
+    cls(**kwargs)
+    with pytest.raises(TypeError):
+        cls(**kwargs, **extra)
+
+
+def test_rate_result_derives_link_rates_and_maxmin():
+    # each link's rate is its row's left-to-right sum, zeros included
+    rates = RateResult([[1.0, 1e100, 1.0, 0.0], [0.0, 0.0, 2.0, 3.0]])
+    assert rates.per_link.tolist() == [1e100, 5.0]
+    assert rates.maxmin == 5.0
+    assert type(rates.maxmin) is float
+    with pytest.raises(ValueError):
+        rates.per_link[0] = 0.0
+
+
+@pytest.mark.parametrize("per_channel, match", [
+    ([[2.0, -2.58642], [0.0, 3.0]], "rates must be finite and >= 0"),
+    ([[2.0, math.inf], [0.0, 3.0]], "rates must be finite and >= 0"),
+    ([[2.0, math.nan], [0.0, 3.0]], "rates must be finite and >= 0"),
+    ([1.0, 2.0], "nonempty 2-D matrix"),
+    ([[]], "nonempty 2-D matrix"),
+    (np.ones((1, 1, 1)), "nonempty 2-D matrix"),
+])
+def test_rate_result_rejects_bad_rates(per_channel, match):
+    with pytest.raises(ValidationError, match=match):
+        RateResult(per_channel)
 
 
 def test_allocation_matrix_helpers():
@@ -401,7 +432,7 @@ def test_from_owner_vector_rejects_bad_owners(owners, match):
 
 
 def test_allocation_matrix_immutable():
-    a = AllocationMatrix.zeros(2, 3)
+    a = AllocationMatrix(np.zeros((2, 3), dtype=np.int8))
     with pytest.raises(ValueError):
         a.entries[0, 0] = 1
 

@@ -9,8 +9,7 @@ from ncofdm_alloc.solver import solve, verify_solution
 
 def _instance(cap, b=None):
     cap = np.asarray(cap, dtype=float)
-    return ProblemInstance(num_links=cap.shape[0], num_channels=cap.shape[1],
-                           channel_bandwidth=1e5, capacity=cap,
+    return ProblemInstance(capacity=cap,
                            span_bound=b if b is not None else cap.shape[1])
 
 

@@ -169,9 +169,20 @@ def test_reallocation_same_sets_changes_nothing():
                           res.new_instance.capacity)
 
 
+def test_span_bound_comes_from_the_config():
+    cfg = builtin_scenario("grid4x12")
+    gains = realize_gains(cfg, 1)
+    inst = instance_from_gains(cfg, gains)
+    assert (inst.num_links, inst.num_channels, inst.span_bound) == (4, 12, 4)
+    with pytest.raises(TypeError):
+        instance_from_gains(cfg, gains, span_bound=8)
+    with pytest.raises(TypeError):
+        reallocation_experiment(cfg, set(), {"C"}, span_bound=8)
+
+
 def test_reallocation_shares_the_fading_draw():
     cfg = builtin_scenario("grid4x12")
-    res = reallocation_experiment(cfg, set(), {"C"}, span_bound=4, rng=8)
+    res = reallocation_experiment(cfg, set(), {"C"}, rng=8)
     # interference only touches C's channels, gains are shared
     assert np.array_equal(res.baseline_instance.capacity[:, :8],
                           res.new_instance.capacity[:, :8])
@@ -182,7 +193,7 @@ def test_reallocation_shares_the_fading_draw():
 def test_reallocation_recovers_rate():
     cfg = builtin_scenario("grid4x12")
     for seed in range(5):
-        res = reallocation_experiment(cfg, set(), {"C"}, span_bound=4, rng=seed)
+        res = reallocation_experiment(cfg, set(), {"C"}, rng=seed)
         used = set()
         for l in range(4):
             used.update(res.baseline.allocation.occupied_channels(l))
@@ -398,8 +409,7 @@ def test_sweep_counts_must_be_integers(name, value):
 def test_reallocation_reports_frozen_still_optimal():
     cfg = builtin_scenario("grid4x12")
     for seed, new, expected in ((3, "A", True), (9, "A", False)):
-        res = reallocation_experiment(cfg, set(), {new}, span_bound=4,
-                                      rng=seed)
+        res = reallocation_experiment(cfg, set(), {new}, rng=seed)
         assert res.frozen_still_optimal is expected
         assert expected == (res.frozen_min == res.reallocated_min)
 

@@ -30,8 +30,7 @@ from ncofdm_alloc.solver import (
 
 def _instance(cap, b=None):
     cap = np.asarray(cap, dtype=float)
-    return ProblemInstance(num_links=cap.shape[0], num_channels=cap.shape[1],
-                           channel_bandwidth=1e5, capacity=cap,
+    return ProblemInstance(capacity=cap,
                            span_bound=b if b is not None else cap.shape[1])
 
 
@@ -339,8 +338,8 @@ _B12_PINS = {
 def test_grid_b12_allocation_pinned(entry):
     gen, = rng_streams(np.random.default_rng((1000, entry)), 1)
     gains = realize_gains(GRID4X12, gen)
-    inst = instance_from_gains(GRID4X12, gains, {"A", "B", "C"},
-                               span_bound=12)
+    inst = instance_from_gains(GRID4X12, gains,
+                               {"A", "B", "C"}).with_span_bound(12)
     res = solve(inst)
     owners, maxmin = _B12_PINS[entry]
     assert res.proven_optimal
@@ -354,7 +353,7 @@ def test_grid_b12_allocation_pinned(entry):
 def _grid_instance(entry, active, b):
     gen, = rng_streams(np.random.default_rng((1000, entry)), 1)
     gains = realize_gains(GRID4X12, gen)
-    return instance_from_gains(GRID4X12, gains, active, span_bound=b)
+    return instance_from_gains(GRID4X12, gains, active).with_span_bound(b)
 
 
 @pytest.mark.parametrize("entry, owners, maxmin", [
@@ -978,13 +977,9 @@ def test_verify_accepts_solver_output():
 
 def _forged(inst, allocation):
     allocation = AllocationMatrix(np.asarray(allocation, dtype=np.int8))
-    per_channel = inst.capacity * allocation.entries
-    per_link = per_channel.sum(axis=1)
-    rates = RateResult(per_channel=per_channel, per_link=per_link,
-                       maxmin=float(per_link.min()))
-    return SolveResult(allocation=allocation, rates=rates,
-                       maxmin=rates.maxmin, proven_optimal=True,
-                       nodes_explored=0, wall_time=0.0)
+    return SolveResult(allocation=allocation,
+                       rates=RateResult(inst.capacity * allocation.entries),
+                       proven_optimal=True, nodes_explored=0, wall_time=0.0)
 
 
 def test_verify_rejects_shared_channel():
@@ -1000,10 +995,7 @@ def test_verify_rejects_span_violation():
 def test_verify_rejects_wrong_rates():
     inst = _instance([[1e6, 2e6]])
     res = solve(inst)
-    wrong = RateResult(per_channel=res.rates.per_channel,
-                       per_link=res.rates.per_link + 1.0,
-                       maxmin=res.maxmin + 1.0)
+    wrong = RateResult(res.rates.per_channel + res.allocation.entries)
     forged = SolveResult(allocation=res.allocation, rates=wrong,
-                         maxmin=wrong.maxmin, proven_optimal=True,
-                         nodes_explored=0, wall_time=0.0)
+                         proven_optimal=True, nodes_explored=0, wall_time=0.0)
     assert not verify_solution(inst, forged)

@@ -31,9 +31,7 @@ def _instances(draw):
     n = draw(st.integers(2, 4))
     m = draw(st.integers(1, 6))
     cap = np.array([[draw(_CAPACITY) for _ in range(m)] for _ in range(n)])
-    return ProblemInstance(num_links=n, num_channels=m,
-                           channel_bandwidth=1e5, capacity=cap,
-                           span_bound=draw(st.integers(1, m)))
+    return ProblemInstance(capacity=cap, span_bound=draw(st.integers(1, m)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
