@@ -22,8 +22,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .guardband import GUARDBAND_MODES, insert_guardbands, validate_guardbands
 from .model import AllocationMatrix, RateResult, ValidationError
@@ -216,9 +214,10 @@ def cmd_realloc(args) -> int:
     return EXIT_OK if proven else EXIT_BUDGET_EXHAUSTED
 
 
-def _read_matrix_csv(path: Path):
-    """(link ids, value rows, SHA-256 of the bytes parsed) from a
-    link-by-channel CSV. The file is read once."""
+def _read_matrix_csv(path: Path, kind):
+    """(link ids, `kind` built from the value rows, SHA-256 of the bytes
+    parsed) from a link-by-channel CSV. The file is read once, and every
+    error, `kind`'s own included, names it."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -244,22 +243,20 @@ def _read_matrix_csv(path: Path):
             values.append([float(x) for x in row[1:]])
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric cell") from exc
-    values = np.array(values)
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{path}: non-finite cell")
-    return ids, values, hashlib.sha256(data).hexdigest()
+    try:
+        matrix = kind(values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return ids, matrix, hashlib.sha256(data).hexdigest()
 
 
 def cmd_guardband(args) -> int:
-    alloc_path = Path(args.allocation)
-    rates_path = Path(args.rates)
-    ids_a, alloc_values, alloc_sha = _read_matrix_csv(alloc_path)
-    ids_r, rate_values, rates_sha = _read_matrix_csv(rates_path)
-    if ids_a != ids_r or alloc_values.shape != rate_values.shape:
+    ids_a, allocation, alloc_sha = _read_matrix_csv(Path(args.allocation),
+                                                    AllocationMatrix)
+    ids_r, rates, rates_sha = _read_matrix_csv(Path(args.rates), RateResult)
+    if ids_a != ids_r:
         raise ValidationError("allocation and rates files do not line up")
-    report = insert_guardbands(AllocationMatrix(alloc_values),
-                               RateResult(rate_values),
-                               mode=args.guardband_mode)
+    report = insert_guardbands(allocation, rates, mode=args.guardband_mode)
     if not validate_guardbands(report.output_allocation):
         raise RuntimeError("guarded allocation still has adjacent links; "
                            "guardband bug")

@@ -10,6 +10,10 @@ link's rate, the sequential float sum of its row of per-channel rates in
 ascending channel order, and the max-min value from those rates. The
 solver and the exhaustive oracle use the same accumulation, so their
 objective values are bit-identical and can be compared exactly.
+
+Each type checks its invariants once, where it is built: an
+`AllocationMatrix` holds only 0s and 1s and shares no channel between
+links, so no function that takes one checks orthogonality again.
 """
 
 from __future__ import annotations
@@ -286,9 +290,9 @@ class GainMatrix:
 class AllocationMatrix:
     """Binary channel assignment, one row per link.
 
-    Entry (l, m) is 1 when link l transmits on channel m. Orthogonality
-    (no channel shared by two links) is required by every consumer but is
-    checked there, not here, so partially built matrices can be wrapped.
+    Entry (l, m) is 1 when link l transmits on channel m. No channel is
+    shared by two links (orthogonality): the constructor rejects a matrix
+    that breaks this, so every allocation in hand is orthogonal.
     """
 
     entries: np.ndarray
@@ -300,6 +304,8 @@ class AllocationMatrix:
         if not ((a == 0) | (a == 1)).all():
             raise ValidationError("allocation entries must be 0 or 1")
         a = a.astype(np.int8)
+        if (a.sum(axis=0) > 1).any():
+            raise ValidationError("allocation shares a channel between links")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -329,26 +335,15 @@ class AllocationMatrix:
         return cls(a)
 
     def owner_vector(self) -> list[int]:
-        """Per-channel owner index, -1 for unassigned. Requires orthogonality."""
-        if not self.is_orthogonal():
-            raise ValidationError("owner_vector needs an orthogonal allocation")
+        """Per-channel owner index, -1 for unassigned."""
         owners = [-1] * self.num_channels
         for l in range(self.num_links):
             for m in np.flatnonzero(self.entries[l]):
                 owners[int(m)] = l
         return owners
 
-    def column_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
-
-    def is_orthogonal(self) -> bool:
-        return bool((self.column_sums() <= 1).all())
-
-    def row_span(self, link: int) -> int:
-        return spectral_span(self.entries[link])
-
     def spans(self) -> list[int]:
-        return [self.row_span(l) for l in range(self.num_links)]
+        return [spectral_span(row) for row in self.entries]
 
     def occupied_channels(self, link: int) -> tuple[int, ...]:
         """1-based channel numbers used by a link."""
@@ -478,6 +473,4 @@ def evaluate_rates(inst: ProblemInstance, allocation) -> RateResult:
         raise ValidationError(
             f"allocation shape {alloc.entries.shape} does not match "
             f"instance shape {inst.capacity.shape}")
-    if not alloc.is_orthogonal():
-        raise ValidationError("allocation shares a channel between links")
     return RateResult(inst.capacity * alloc.entries)

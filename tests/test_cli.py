@@ -397,7 +397,7 @@ def test_guardband_rejects_nonfinite_rates(tmp_path, capsys, cell):
     out = tmp_path / "o"
     assert _run("guardband", "--allocation", str(alloc), "--rates", str(rates),
                 "--out-dir", str(out)) == 2
-    assert f"{rates}: non-finite cell" in capsys.readouterr().err
+    assert f"{rates}: rates must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -419,7 +419,24 @@ def test_guardband_rejects_negative_rates(tmp_path, capsys):
     out = tmp_path / "o"
     assert _run("guardband", "--allocation", str(solved / "allocation.csv"),
                 "--rates", str(rates), "--out-dir", str(out)) == 2
-    assert "rates must be finite and >= 0" in capsys.readouterr().err
+    assert f"{rates}: rates must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_guardband_rejects_shared_channel(tmp_path, capsys):
+    solved, _ = _guard_solve(tmp_path)
+    rows = _read_csv(solved / "allocation.csv")
+    # L1 holds ch1 in this solve; L2 now claims it too
+    assert rows[1][:2] == ["L1", "1"] and rows[2][:2] == ["L2", "0"]
+    rows[2][1] = "1"
+    alloc = tmp_path / "shared.csv"
+    _write_matrix(alloc, len(rows[0]) - 1, rows[1:])
+    out = tmp_path / "o"
+    assert _run("guardband", "--allocation", str(alloc),
+                "--rates", str(solved / "channel_rates.csv"),
+                "--out-dir", str(out)) == 2
+    assert (f"{alloc}: allocation shares a channel between links"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -121,8 +121,8 @@ def test_random_allocations_valid_and_idempotent():
         again = insert_guardbands(out, report.output_rates)
         assert np.array_equal(again.output_allocation.entries, out.entries)
         assert again.nulled == ()
-        # rates never increase, spans never grow, orthogonality kept
-        assert out.is_orthogonal()
+        # rates never increase, spans never grow (the output's constructor
+        # has checked orthogonality)
         assert (report.rate_deltas <= 0).all()
         assert report.output_rates.per_link.sum() <= rates.per_link.sum()
         for l in range(n):

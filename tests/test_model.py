@@ -405,9 +405,7 @@ def test_rate_result_rejects_bad_rates(per_channel, match):
 
 def test_allocation_matrix_helpers():
     a = AllocationMatrix(np.array([[1, 0, 1, 0], [0, 1, 0, 0]]))
-    assert a.row_span(0) == 3
-    assert a.row_span(1) == 1
-    assert a.is_orthogonal()
+    assert a.spans() == [3, 1]
     assert a.occupied_channels(0) == (1, 3)
     assert a.owner_vector() == [0, 1, 0, -1]
     rebuilt = AllocationMatrix.from_owner_vector([0, 1, 0, -1], 2)
@@ -416,6 +414,8 @@ def test_allocation_matrix_helpers():
     assert np.array_equal(rebuilt.entries, a.entries)
     with pytest.raises(ValidationError):
         AllocationMatrix(np.array([[2, 0], [0, 1]]))
+    with pytest.raises(ValidationError, match="shares a channel"):
+        AllocationMatrix([[1, 0], [1, 0]])
 
 
 @pytest.mark.parametrize("owners, match", [

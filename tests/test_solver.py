@@ -18,6 +18,7 @@ from ncofdm_alloc.model import (
     rng_streams,
 )
 from ncofdm_alloc import solver
+from ncofdm_alloc.guardband import insert_guardbands, validate_guardbands
 from ncofdm_alloc.oracle import brute_force
 from ncofdm_alloc.scenario import GRID4X12, instance_from_gains, realize_gains
 from ncofdm_alloc.solver import (
@@ -982,9 +983,23 @@ def _forged(inst, allocation):
                        proven_optimal=True, nodes_explored=0, wall_time=0.0)
 
 
-def test_verify_rejects_shared_channel():
+_SHARED = [[1, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("consume", [
+    lambda inst: verify_solution(inst, _forged(inst, _SHARED)),
+    lambda inst: evaluate_rates(inst, _SHARED),
+    lambda inst: solve(inst, warm_start=_SHARED),
+    lambda inst: insert_guardbands(_SHARED, RateResult(inst.capacity)),
+    lambda inst: validate_guardbands(_SHARED),
+], ids=["forged_result", "evaluate_rates", "warm_start", "insert_guardbands",
+        "validate_guardbands"])
+def test_shared_channel_rejected_with_one_message(consume):
+    # the allocation's constructor refuses it before any consumer runs
     inst = _instance([[1e6, 2e6], [3e6, 4e6]])
-    assert not verify_solution(inst, _forged(inst, [[1, 0], [1, 0]]))
+    with pytest.raises(ValidationError,
+                       match="^allocation shares a channel between links$"):
+        consume(inst)
 
 
 def test_verify_rejects_span_violation():
