@@ -9,7 +9,6 @@ guardband post-processing pass.
 from .model import (
     AllocationMatrix,
     BOLTZMANN_J_PER_K,
-    GainMatrix,
     InterfererSpec,
     LinkSpec,
     ProblemInstance,
@@ -46,7 +45,6 @@ from .scenario import (
     builtin_scenario,
     instance_from_gains,
     interference_row,
-    load_scenario,
     realize_gains,
     realize_instance,
     reallocation_experiment,

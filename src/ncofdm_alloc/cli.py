@@ -186,11 +186,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_realloc(args) -> int:
     cfg, config_sha = _load_config(args)
-    baseline = resolve_interferers(cfg,
-                                   _parse_interferers(args.baseline_interferers))
-    new = resolve_interferers(cfg, _parse_interferers(args.new_interferers))
-    result = reallocation_experiment(cfg, baseline, new,
-                                     node_budget=args.node_budget)
+    result = reallocation_experiment(
+        cfg, _parse_interferers(args.baseline_interferers),
+        _parse_interferers(args.new_interferers), node_budget=args.node_budget)
 
     out = _out_dir(args)
     link_ids = [link.id for link in cfg.links]

@@ -48,6 +48,14 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def db_to_linear(db: float, name: str) -> float:
+    """10^(db/10); above the float range (~3082.5 dB) a ValidationError."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValidationError(f"{name} is out of range for a float") from None
+
+
 def rng_streams(rng, count: int) -> list[np.random.Generator]:
     """Derive `count` independent child generators, deterministically.
 
@@ -135,6 +143,8 @@ class InterfererSpec:
         if not math.isfinite(self.db_above_noise):
             raise ValidationError(
                 f"interferer {self.name!r}: level must be finite")
+        db_to_linear(self.db_above_noise,
+                     f"interferer {self.name!r}: db_above_noise")
 
 
 @dataclass(frozen=True)
@@ -212,6 +222,7 @@ class ScenarioConfig:
             raise ValidationError("center_frequency must be > 0")
         if math.isnan(self.rician_k_db):
             raise ValidationError("rician_k_db must not be NaN")
+        db_to_linear(self.rician_k_db, "rician_k_db")
         if not 1 <= self.span_bound <= self.num_channels:
             raise ValidationError(
                 f"span_bound must be in [1, {self.num_channels}]")
@@ -268,22 +279,6 @@ class ProblemInstance:
 
     def with_span_bound(self, span_bound: int) -> "ProblemInstance":
         return replace(self, span_bound=span_bound)
-
-
-@dataclass(frozen=True)
-class GainMatrix:
-    """Dimensionless power gains, one per (link, channel)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = np.array(self.values, dtype=np.float64)
-        if g.ndim != 2:
-            raise ValidationError("gain matrix must be 2-D")
-        if not np.all(np.isfinite(g)) or np.any(g <= 0):
-            raise ValidationError("gains must be finite and > 0")
-        g.setflags(write=False)
-        object.__setattr__(self, "values", g)
 
 
 @dataclass(frozen=True)
@@ -345,10 +340,6 @@ class AllocationMatrix:
     def spans(self) -> list[int]:
         return [spectral_span(row) for row in self.entries]
 
-    def occupied_channels(self, link: int) -> tuple[int, ...]:
-        """1-based channel numbers used by a link."""
-        return tuple(int(m) + 1 for m in np.flatnonzero(self.entries[link]))
-
 
 def as_allocation(obj) -> AllocationMatrix:
     if isinstance(obj, AllocationMatrix):
@@ -409,7 +400,7 @@ def sample_rician_power_gain(k_db: float, rng, size=None):
     gen = as_rng(rng)
     if math.isinf(k_db) and k_db > 0:
         return 1.0 if size is None else np.ones(size)
-    k = 10.0 ** (k_db / 10.0)
+    k = db_to_linear(k_db, "k_db")
     los = math.sqrt(k / (k + 1.0))
     sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
     re = los + sigma * gen.standard_normal(size)

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    GainMatrix,
     InterfererSpec,
     LinkSpec,
     ProblemInstance,
@@ -190,10 +189,6 @@ def read_scenario(path) -> tuple[ScenarioConfig, bytes]:
     return scenario_from_dict(data), raw
 
 
-def load_scenario(path) -> ScenarioConfig:
-    return read_scenario(path)[0]
-
-
 # ---------------------------------------------------------------------------
 # Realization
 # ---------------------------------------------------------------------------
@@ -226,22 +221,22 @@ def interference_row(cfg: ScenarioConfig, active_interferers) -> np.ndarray:
     return u
 
 
-def realize_gains(cfg: ScenarioConfig, rng) -> GainMatrix:
-    """Path loss times one i.i.d. Rician fade per (link, channel)."""
+def realize_gains(cfg: ScenarioConfig, rng) -> np.ndarray:
+    """Path loss times one i.i.d. Rician fade per (link, channel): (N, M)."""
     gen = as_rng(cfg.rng_seed if rng is None else rng)
     n, m_total = cfg.num_links, cfg.num_channels
     fades = sample_rician_power_gain(cfg.rician_k_db, gen, size=(n, m_total))
-    fades = np.asarray(fades, dtype=np.float64).reshape(n, m_total)
     pl = np.array([path_loss_gain(link.length(), cfg.center_frequency)
                    for link in cfg.links])
-    return GainMatrix(pl[:, None] * fades)
+    return pl[:, None] * fades
 
 
-def instance_from_gains(cfg: ScenarioConfig, gains: GainMatrix,
+def instance_from_gains(cfg: ScenarioConfig, gains,
                         active_interferers=None) -> ProblemInstance:
-    """Capacities from gains and the active interference pattern."""
+    """Capacities from an (N, M) array-like of gains, under interference."""
     n, m_total = cfg.num_links, cfg.num_channels
-    if gains.values.shape != (n, m_total):
+    gains = np.asarray(gains, dtype=np.float64)
+    if gains.shape != (n, m_total):
         raise ValidationError("gain matrix shape does not match the config")
     u_row = interference_row(cfg, active_interferers)
     noise = cfg.noise_power_per_channel
@@ -250,7 +245,7 @@ def instance_from_gains(cfg: ScenarioConfig, gains: GainMatrix,
     capacity = np.zeros((n, m_total))
     for l in range(n):
         for m in range(m_total):
-            sinr = compute_sinr(power, float(gains.values[l, m]),
+            sinr = compute_sinr(power, float(gains[l, m]),
                                 noise, float(u_row[m]))
             capacity[l, m] = compute_capacity(bandwidth, sinr)
     return ProblemInstance(capacity=capacity, span_bound=cfg.span_bound)
@@ -302,10 +297,6 @@ class ExperimentResult:
     realization: solve under the baseline interferers, re-evaluate that
     frozen allocation after the change, then re-solve."""
 
-    baseline_interferers: frozenset[str]
-    new_interferers: frozenset[str]
-    baseline_instance: ProblemInstance
-    new_instance: ProblemInstance
     baseline: SolveResult
     frozen_rates: RateResult
     reallocated: SolveResult
@@ -339,24 +330,15 @@ def reallocation_experiment(cfg: ScenarioConfig,
     The same gains are used for both interference conditions; only the
     interference term (and hence the capacities) changes.
     """
-    baseline = resolve_interferers(cfg, baseline_interferers)
-    new = resolve_interferers(cfg, new_interferers)
     gains = realize_gains(cfg, rng)
-    inst0 = instance_from_gains(cfg, gains, baseline)
-    inst1 = instance_from_gains(cfg, gains, new)
+    inst0 = instance_from_gains(cfg, gains, baseline_interferers)
+    inst1 = instance_from_gains(cfg, gains, new_interferers)
     base_res = solve(inst0, node_budget=node_budget)
     frozen = evaluate_rates(inst1, base_res.allocation)
     realloc = solve(inst1, node_budget=node_budget,
                     warm_start=base_res.allocation)
-    return ExperimentResult(
-        baseline_interferers=baseline,
-        new_interferers=new,
-        baseline_instance=inst0,
-        new_instance=inst1,
-        baseline=base_res,
-        frozen_rates=frozen,
-        reallocated=realloc,
-    )
+    return ExperimentResult(baseline=base_res, frozen_rates=frozen,
+                            reallocated=realloc)
 
 
 def _curve(inst: ProblemInstance, b_values: Sequence[int],

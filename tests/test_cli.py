@@ -91,15 +91,17 @@ def test_solve_malformed_config(tmp_path, capsys):
                     "--out-dir", str(out)) == 2, key
         assert key in capsys.readouterr().err, key
         assert not out.exists()
-    # values of the wrong type, and booleans or fractions where a number
-    # belongs, which must not be truncated; the error names the key
+    # values of the wrong type, booleans or fractions where a number
+    # belongs, which must not be truncated, and dB levels whose linear
+    # value overflows a float; the error names the key
     for key, value in [("links", 5), ("distance", "far"), ("tx", 5),
                        ("tx", [0]), ("tx", [0, 0, 5]),
                        ("num_channels", "x"), ("db_above_noise", "abc"),
                        ("subcarriers_per_channel", "4"),
                        ("num_channels", 12.7), ("span_bound", 4.9),
                        ("channels", [1.9, 2, 3]), ("rng_seed", True),
-                       ("temperature", True), ("db_above_noise", False)]:
+                       ("temperature", True), ("db_above_noise", False),
+                       ("rician_k_db", 5000.0), ("db_above_noise", 5000.0)]:
         cfg = scenario_to_dict(GRID4X12)
         if key == "distance":
             cfg["links"][0]["distance"] = value

@@ -181,15 +181,6 @@ def test_rejects_inconsistent_rates():
         insert_guardbands(a, bad_support)
 
 
-def test_rejects_non_orthogonal_input():
-    a = [[1, 0], [1, 0]]
-    rates = RateResult(np.ones((2, 2)))
-    with pytest.raises(ValidationError):
-        insert_guardbands(a, rates)
-    with pytest.raises(ValidationError):
-        validate_guardbands(a)
-
-
 def test_rejects_unknown_mode():
     a = [[1, 0]]
     rates = _rates_for([[1.0, 1.0]], a)

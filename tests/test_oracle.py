@@ -16,7 +16,7 @@ def _instance(cap, b=None):
 def test_single_link_picks_best_channel():
     res = brute_force(_instance([[1e6, 2e6]], b=1))
     assert res.maxmin == 2e6
-    assert res.allocation.occupied_channels(0) == (2,)
+    assert list(np.flatnonzero(res.allocation.entries[0]) + 1) == [2]
 
 
 def test_two_links_diagonal():

@@ -13,6 +13,7 @@ from ncofdm_alloc.model import (
     ValidationError,
     compute_capacity,
     compute_sinr,
+    evaluate_rates,
     path_loss_gain,
     rng_streams,
 )
@@ -23,7 +24,7 @@ from ncofdm_alloc.scenario import (
     builtin_scenario,
     instance_from_gains,
     interference_row,
-    load_scenario,
+    read_scenario,
     realize_gains,
     realize_instance,
     reallocation_experiment,
@@ -110,10 +111,14 @@ def test_capacity_matches_scalar_physics_pipeline():
     for l in range(cfg.num_links):
         for m in range(cfg.num_channels):
             sinr = compute_sinr(cfg.tx_power_per_channel,
-                                float(gains.values[l, m]),
+                                float(gains[l, m]),
                                 cfg.noise_power_per_channel, float(u[m]))
             assert inst.capacity[l, m] == compute_capacity(
                 cfg.channel_bandwidth, sinr)
+    # any array-like of the config's shape is read as float64
+    assert np.array_equal(
+        instance_from_gains(cfg, gains.tolist(), {"X"}).capacity,
+        inst.capacity)
 
 
 def test_pure_los_gives_flat_channels():
@@ -125,7 +130,7 @@ def test_pure_los_gives_flat_channels():
     gains = realize_gains(cfg, 5)
     for l, link in enumerate(cfg.links):
         expected = path_loss_gain(link.length(), cfg.center_frequency)
-        assert np.all(gains.values[l] == expected)
+        assert np.all(gains[l] == expected)
 
 
 def test_fixed_seed_is_bit_identical():
@@ -135,6 +140,27 @@ def test_fixed_seed_is_bit_identical():
     assert np.array_equal(a.capacity, b.capacity)
     c = realize_instance(cfg, {"A", "B"}, rng=124)
     assert not np.array_equal(a.capacity, c.capacity)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ("short", "gain matrix shape does not match the config"),
+    ("flat", "gain matrix shape does not match the config"),
+    (math.nan, "power and gain must be > 0"),
+    (0.0, "power and gain must be > 0"),
+    (-1.0, "power and gain must be > 0"),
+    (math.inf, "capacities must be finite"),
+], ids=["short", "flat", "nan", "zero", "negative", "inf"])
+def test_instance_from_gains_rejects_bad_gains(bad, match):
+    cfg = _small_cfg()
+    gains = realize_gains(cfg, 4)
+    if bad == "short":
+        gains = gains[:, :-1]
+    elif bad == "flat":
+        gains = gains.ravel()
+    else:
+        gains[1, 2] = bad
+    with pytest.raises(ValidationError, match=match):
+        instance_from_gains(cfg, gains)
 
 
 def test_interference_never_raises_capacity():
@@ -165,8 +191,8 @@ def test_reallocation_same_sets_changes_nothing():
     res = reallocation_experiment(cfg, {"X"}, {"X"}, rng=31)
     assert res.frozen_min == res.baseline_min
     assert res.reallocated_min == res.baseline_min
-    assert np.array_equal(res.baseline_instance.capacity,
-                          res.new_instance.capacity)
+    assert np.array_equal(res.frozen_rates.per_channel,
+                          res.baseline.rates.per_channel)
 
 
 def test_span_bound_comes_from_the_config():
@@ -183,11 +209,18 @@ def test_span_bound_comes_from_the_config():
 def test_reallocation_shares_the_fading_draw():
     cfg = builtin_scenario("grid4x12")
     res = reallocation_experiment(cfg, set(), {"C"}, rng=8)
+    # the experiment's two instances, rebuilt from one draw: it solved the
+    # first and re-evaluated that allocation on the second
+    gains = realize_gains(cfg, 8)
+    inst0 = instance_from_gains(cfg, gains, set())
+    inst1 = instance_from_gains(cfg, gains, {"C"})
+    assert res.baseline_min == solve(inst0).maxmin
+    assert np.array_equal(
+        res.frozen_rates.per_channel,
+        evaluate_rates(inst1, res.baseline.allocation).per_channel)
     # interference only touches C's channels, gains are shared
-    assert np.array_equal(res.baseline_instance.capacity[:, :8],
-                          res.new_instance.capacity[:, :8])
-    assert (res.new_instance.capacity[:, 8:11]
-            < res.baseline_instance.capacity[:, 8:11]).all()
+    assert np.array_equal(inst0.capacity[:, :8], inst1.capacity[:, :8])
+    assert (inst1.capacity[:, 8:11] < inst0.capacity[:, 8:11]).all()
 
 
 def test_reallocation_recovers_rate():
@@ -195,8 +228,8 @@ def test_reallocation_recovers_rate():
     for seed in range(5):
         res = reallocation_experiment(cfg, set(), {"C"}, rng=seed)
         used = set()
-        for l in range(4):
-            used.update(res.baseline.allocation.occupied_channels(l))
+        for row in res.baseline.allocation.entries:
+            used.update((np.flatnonzero(row) + 1).tolist())
         assert used & {9, 10, 11}            # baseline used C's channels
         assert res.frozen_min < res.baseline_min
         assert res.reallocated_min >= res.frozen_min
@@ -507,14 +540,14 @@ def test_scenario_from_dict_takes_integral_floats():
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scenario_to_dict(_small_cfg())))
-    cfg = load_scenario(path)
+    cfg = read_scenario(path)[0]
     assert cfg == _small_cfg()
     with pytest.raises(ValidationError):
-        load_scenario(tmp_path / "missing.json")
+        read_scenario(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
-        load_scenario(bad)
+        read_scenario(bad)
 
 
 def test_positions_config():

@@ -64,7 +64,7 @@ def test_single_link_takes_everything():
 def test_single_link_best_window():
     res = solve(_instance([[1e6, 2e6, 3e6]], b=2))
     assert res.maxmin == 5e6
-    assert res.allocation.occupied_channels(0) == (2, 3)
+    assert list(np.flatnonzero(res.allocation.entries[0]) + 1) == [2, 3]
 
 
 def test_two_link_cross_pattern():
@@ -222,8 +222,6 @@ def test_warm_start_validation():
     inst = _instance([[1e6, 2e6], [3e6, 4e6]], b=1)
     with pytest.raises(ValidationError):
         solve(inst, warm_start=[[1, 0, 0], [0, 1, 0]])     # shape mismatch
-    with pytest.raises(ValidationError):
-        solve(inst, warm_start=[[1, 0], [1, 0]])           # not orthogonal
     with pytest.raises(ValidationError):
         solve(inst, warm_start=[[1, 1], [0, 0]])           # span > b
     good = solve(inst, warm_start=[[1, 0], [0, 1]])
