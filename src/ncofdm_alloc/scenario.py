@@ -228,7 +228,17 @@ def realize_gains(cfg: ScenarioConfig, rng) -> np.ndarray:
     fades = sample_rician_power_gain(cfg.rician_k_db, gen, size=(n, m_total))
     pl = np.array([path_loss_gain(link.length(), cfg.center_frequency)
                    for link in cfg.links])
-    return pl[:, None] * fades
+    gains = pl[:, None] * fades
+    # each value passes its own check, but their product may leave the range
+    bad = np.argwhere(~((gains > 0) & np.isfinite(gains)))
+    if bad.size:
+        l, m = bad[0]
+        link = cfg.links[l]
+        raise ValidationError(
+            f"link {link.id!r}: its gain at distance {link.length()!r} m and "
+            f"center_frequency {cfg.center_frequency!r} Hz leaves the float "
+            f"range ({float(gains[l, m])!r})")
+    return gains
 
 
 def instance_from_gains(cfg: ScenarioConfig, gains,
@@ -245,9 +255,16 @@ def instance_from_gains(cfg: ScenarioConfig, gains,
     capacity = np.zeros((n, m_total))
     for l in range(n):
         for m in range(m_total):
-            sinr = compute_sinr(power, float(gains[l, m]),
-                                noise, float(u_row[m]))
-            capacity[l, m] = compute_capacity(bandwidth, sinr)
+            gain = float(gains[l, m])
+            sinr = compute_sinr(power, gain, noise, float(u_row[m]))
+            c = compute_capacity(bandwidth, sinr)
+            if math.isinf(c):
+                raise ValidationError(
+                    f"capacities must be finite: link {cfg.links[l].id!r} on "
+                    f"channel {m + 1} overflows with tx_power_per_channel="
+                    f"{power!r}, channel_bandwidth={bandwidth!r} and a gain "
+                    f"of {gain!r}")
+            capacity[l, m] = c
     return ProblemInstance(capacity=capacity, span_bound=cfg.span_bound)
 
 
@@ -374,7 +391,7 @@ def _curve(inst: ProblemInstance, b_values: Sequence[int],
 
     def run(b, **kwargs):
         return solve(inst.with_span_bound(b), node_budget=node_budget,
-                     tables=tables, **kwargs)
+                     tables=tables, tie_break=False, **kwargs)
 
     top = run(b_values[-1])
     if not top.proven_optimal:

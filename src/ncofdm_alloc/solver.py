@@ -108,6 +108,29 @@ would round away in (t + big) - big, and the bound could fall below its
 exact value by an ulp of the total capacity, more than the slack when
 the incumbent is small beside it.
 
+A value-only solve (`tie_break=False`, for a caller that reads only the
+maxmin, such as a trade-off sweep) needs no allocation that only ties
+the incumbent inc, so its counting cut asks for a strict gain; nothing
+else changes. A needy link with rate r, top-k sums u and at most s more
+channels starts from the count k above (0 when r is within the slack of
+inc) and raises it while k <= s, r + u[k] < inc + slack and k more
+channels provably leave it at or below inc; past s, the node is pruned.
+The proof for k reads q1..qk+1, the first k + 1 positions of the link's
+ranking that topk gathers (unvisited, in its reach). Any k of those
+channels other than q1..qk sum to at most u[k - 1] + c(qk+1), so when r
+plus that lies below inc - slack, every such completion ends below inc,
+by the rounding argument above. That leaves q1..qk: the link's rate with
+its held channels and them, summed from 0.0 in channel order, is exactly
+the rate a leaf gives it, and the proof holds when that is <= inc. With
+fewer channels than the first count the link stays below inc, as before,
+and with each count from it to k - 1 it stays at or below inc, as
+proven, so it needs k or more, and a subtree pruned for these counts
+holds no allocation above inc. The
+search then reaches the unique best allocation while inc lies below its
+maxmin (no value bound cuts its path, nor does a dominance rule, below),
+and returns an allocation with the optimum's maxmin float: an optimum,
+not necessarily the tie-broken one.
+
 A node's bound test (`_bound`) is one closure per search, bound to its
 tables and state lists. Per-link bounds are computed only for links at or
 below the incumbent. A link above it cannot prune by its own bound, which
@@ -407,6 +430,29 @@ def _order(cap, visit):
                             break
         return sums
 
+    def lifts(l, p, a, e, k, held, r, u, inc, dead):
+        """Whether k more of the unvisited channels a..e may lift link l,
+        which holds the positions in held at rate r (u: its topk sums
+        there), above inc. False only when r plus the best k of them but
+        the top k, q1..qk as topk gathers them (that best is q1..qk-1 and
+        qk+1), lies below dead, and the link's rate with q1..qk, summed as
+        a leaf's, is <= inc."""
+        row = vcap[l]
+        count = 0
+        for q in ranking[l]:
+            if q >= p and a <= visit[q] <= e:
+                if count == k:
+                    if k and r + (u[k - 1] + row[q]) >= dead:
+                        return True
+                    break
+                held |= 1 << q
+                count += 1
+        total = 0.0
+        for m, c in enumerate(cap[l]):
+            if held >> position[m] & 1:
+                total += c
+        return total > inc
+
     # pairwise exchange: exchange[p] = (better, worse), where better[l]
     # holds bit q when link l gains more than the margin by holding channel
     # visit[q] instead of visit[p], and worse[l] bit q when it loses more;
@@ -434,7 +480,7 @@ def _order(cap, visit):
     below = list(itertools.accumulate((1 << p for p in position),
                                       operator.or_, initial=0))
     return SimpleNamespace(visit=visit, position=position, vcap=vcap,
-                           memo=memo, topk=topk,
+                           memo=memo, topk=topk, lifts=lifts,
                            best_suffix=best_suffix,
                            reach_pos=reach_pos, first=first, final=final,
                            u_min=first[1:], u_max=final[1:],
@@ -499,19 +545,21 @@ def _at_bound(tables, i, b):
 # The bound test of a node
 # ---------------------------------------------------------------------------
 
-def _bound(rate, lo, hi, held, t, b):
+def _bound(rate, lo, hi, held, t, b, tie_break=True):
     """The bound test of one search, on its state lists and its tables t:
     bound(idx, inc) is True when the node at depth idx is pruned against
     the incumbent value inc. A link's channel count is the number of bits
     of its held positions, held[l]. It runs the per-link bounds, each
     capped by the link's best window, and the counting cut over the links
     at or below the incumbent, then, when there are two or more of them,
-    their needy-set bound (see the module docstring)."""
+    their needy-set bound (see the module docstring). Without tie_break,
+    each link's channel count is the one that may lift it above inc."""
     m_total = len(t.visit)
 
     def bound(idx, inc, memo_get=t.memo.get, topk=t.topk, first=t.first,
               final=t.final, reach_pos=t.reach_pos,
               best_window=t.best_window, best_suffix=t.best_suffix,
+              lifts=t.lifts, tie_break=tie_break,
               bisect_left=bisect.bisect_left):
         remaining = m_total - idx
         slack = inc * 1e-12
@@ -547,14 +595,22 @@ def _bound(rate, lo, hi, held, t, b):
             g = u[s]
             if best_window[l][idx] < g:
                 g = best_window[l][idx]
-            e = reach_pos[e]
             if r + g < dead:
                 return True
             # the sums are nondecreasing (capacities are >= 0), so a
             # bisection finds the channels the link needs
             deficit = inc - r - slack
+            k = 0
             if deficit > 0.0:
                 k = bisect_left(u, deficit, 1, s + 1)
+            if not tie_break:
+                # to beat inc strictly, the link needs more than any k
+                # channels that provably leave it at or below inc
+                while (k <= s and r + u[k] < inc + slack
+                       and not lifts(l, idx, a, e, k, held[l], r, u, inc,
+                                     dead)):
+                    k += 1
+            if k:
                 if k > s:
                     return True
                 needed += k
@@ -562,6 +618,7 @@ def _bound(rate, lo, hi, held, t, b):
                     return True
             needy += 1
             rate_sum += r
+            e = reach_pos[e]
             if e > reach:
                 reach = e
         if needy > 1:
@@ -587,7 +644,8 @@ class _CeilingReached(Exception):
 def solve(inst: ProblemInstance, *,
           node_budget: int = DEFAULT_NODE_BUDGET,
           warm_start=None, tables: _Tables | None = None,
-          ceiling: float | None = None) -> SolveResult:
+          ceiling: float | None = None,
+          tie_break: bool = True) -> SolveResult:
     """Exactly maximize the minimum link rate subject to orthogonal
     assignment and the per-link span cap.
 
@@ -613,6 +671,15 @@ def solve(inst: ProblemInstance, *,
     A ceiling above the optimum is never reached and changes nothing, node
     count included. It must be a real number: NaN, a boolean or a string is
     a ValidationError.
+
+    `tie_break=False` asks for the maxmin value only: the search then
+    also prunes subtrees that can at best tie the incumbent's maxmin (see
+    the module docstring), and returns an optimum with the same
+    maxmin float but, as a ceiling stop may, not necessarily the
+    tie-broken one.
+
+    When no capacity is positive, every allocation ties at (0, 0) and the
+    tie order picks the empty one, which is returned, proven, with 0 nodes.
     """
     t_start = time.perf_counter()
     n, m_total, b = inst.num_links, inst.num_channels, inst.span_bound
@@ -654,7 +721,9 @@ def solve(inst: ProblemInstance, *,
         if _beats(n, value, total, owners, best_value, best_total, best_owner):
             best_owner = list(owners)
             best_value, best_total = value, total
-    if best_value >= ceiling:
+    # with no capacity positive the empty allocation, the least matrix,
+    # already holds the incumbent
+    if best_value >= ceiling or not tables.capacity.any():
         return _result(inst, best_owner, True, 0, t_start)
 
     # --- DFS ------------------------------------------------------------
@@ -674,7 +743,7 @@ def solve(inst: ProblemInstance, *,
         hi = [-1] * n
         # held[l]: the positions link l holds, one bit each
         held = [0] * n
-        bound = _bound(rate, lo, hi, held, t, b)
+        bound = _bound(rate, lo, hi, held, t, b, tie_break)
 
         # kids[p]: the children of the node at depth p, in search order:
         # the links it gives channel visit[p] to, then -1 if it also leaves

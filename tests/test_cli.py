@@ -120,6 +120,31 @@ def test_solve_malformed_config(tmp_path, capsys):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("center_frequency", 1e300, ("'L1'", "distance", "center_frequency")),
+    ("tx_power_per_channel", 1e308,
+     ("'L1'", "tx_power_per_channel", "channel_bandwidth")),
+    ("distance", 1e-300, ("'L2'", "distance", "center_frequency")),
+], ids=["gain-underflows", "capacity-overflows", "gain-overflows"])
+def test_config_leaving_the_float_range_names_its_keys(tmp_path, capsys, key,
+                                                       value, named):
+    # each value passes its own check; the gain or capacity built from them
+    # leaves the float range, and the error names the link and the inputs
+    cfg = scenario_to_dict(GRID4X12)
+    if key == "distance":
+        cfg["links"][1]["distance"] = value
+    else:
+        cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert _run("solve", "--config", str(path), "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    for word in named:
+        assert word in err, (word, err)
+    assert not out.exists()
+
+
 def test_solve_missing_config(tmp_path):
     code = _run("solve", "--config", str(tmp_path / "nope.json"),
                 "--out-dir", str(tmp_path / "o"))

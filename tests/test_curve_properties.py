@@ -1,5 +1,6 @@
-"""Property tests of one realization's trade-off curve (`scenario._curve`)
-on random small instances, against the exhaustive oracle."""
+"""Property tests of one realization's trade-off curve (`scenario._curve`),
+and of the value-only solves it runs, on random small instances, against
+the exhaustive oracle."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ncofdm_alloc.model import ProblemInstance
 from ncofdm_alloc.oracle import brute_force
 from ncofdm_alloc.scenario import _curve
-from ncofdm_alloc.solver import DEFAULT_NODE_BUDGET
+from ncofdm_alloc.solver import DEFAULT_NODE_BUDGET, solve
 
 # a capacity: one of a few round values (ties and zeros), any value, or one
 # of a few values within a few ulps of 5e6 (a row of those is near-flat)
@@ -59,3 +60,22 @@ def test_truncated_curve_is_monotone_and_never_above_the_oracle(case, budget):
     assert all(v <= x for v, x in zip(row, exact))
     if proven:
         assert row == exact
+
+
+@_SETTINGS
+@given(_curves())
+def test_value_only_solve_is_the_oracle_value(case):
+    # at every span bound, alone, warm-started from the optimum one bound
+    # lower (which fits), under the optimum one bound higher as a ceiling,
+    # and with both, as the curve's solves run
+    inst, _ = case
+    m = inst.num_channels
+    exact = [brute_force(inst.with_span_bound(b)) for b in range(1, m + 1)]
+    for b in range(1, m + 1):
+        warm = exact[b - 2].allocation if b > 1 else None
+        ceiling = exact[min(b, m - 1)].maxmin
+        for kwargs in ({}, {"warm_start": warm}, {"ceiling": ceiling},
+                       {"warm_start": warm, "ceiling": ceiling}):
+            res = solve(inst.with_span_bound(b), tie_break=False, **kwargs)
+            assert res.proven_optimal
+            assert res.maxmin.hex() == exact[b - 1].maxmin.hex(), (b, kwargs)

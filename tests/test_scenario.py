@@ -268,45 +268,45 @@ def test_sweep_matches_oracle():
 
 def test_sweep_truncated_resolves_every_bound():
     # a budget-truncated top solve proves nothing, so every bound is
-    # re-solved in ascending order, each warm-started from the last; with
-    # this seed and budget, reusing the top value from its span up would
-    # give a different row
+    # re-solved in ascending order, each warm-started from the last, as the
+    # sweep solves them, for the value only; with this seed and budget,
+    # reusing the top value from its span up would give a different row
     cfg = _small_cfg()
     b_values = range(1, 7)
     budget = 12
     curve = sweep(cfg, b_values, realizations=3, rng=3, node_budget=budget)
     assert not curve.all_proven
     for row, inst in zip(curve.values, _sweep_instances(cfg, 3, 3)):
-        top = solve(inst.with_span_bound(6), node_budget=budget)
+        top = solve(inst.with_span_bound(6), node_budget=budget,
+                    tie_break=False)
         assert not top.proven_optimal
         expected, prev = [], None
         for b in b_values:
             res = solve(inst.with_span_bound(b), node_budget=budget,
-                        warm_start=prev)
+                        warm_start=prev, tie_break=False)
             prev = res.allocation
             expected.append(res.maxmin)
         assert list(row) == expected
 
 
 def test_sweep_stops_at_its_ceiling(monkeypatch):
-    # this draw's b = 3 optimum already equals the proven b = 12 optimum, so
-    # the curve is flat from b = 3 and no larger bound needs its own solve
+    # this draw's b = 5 optimum already equals the proven b = 12 optimum,
+    # whose allocation spans 10 channels, so the b = 5 solve stops at that
+    # ceiling, the curve is flat from b = 5 and no larger bound needs its
+    # own solve
     cfg = builtin_scenario("grid4x12")
     active = {"A", "B", "C"}
-    b_values = range(3, 13)
-    solved = []
-
-    def counting_solve(inst, **kwargs):
-        solved.append(inst.span_bound)
-        return solve(inst, **kwargs)
-
-    monkeypatch.setattr(scenario, "solve", counting_solve)
+    b_values = range(5, 13)
+    log = _logging_solve(monkeypatch)
     curve = sweep(cfg, b_values, realizations=1,
-                  rng=np.random.default_rng((1000, 0)),
+                  rng=np.random.default_rng((1000, 27)),
                   active_interferers=active)
-    assert solved == [12, 3]
+    assert [b for b, _, _ in log] == [12, 5]
+    (_, _, top), (_, ceiling, low) = log
+    assert max(top.allocation.spans()) == 10
+    assert low.maxmin == ceiling == top.maxmin
     assert curve.all_proven
-    gen, = rng_streams(np.random.default_rng((1000, 0)), 1)
+    gen, = rng_streams(np.random.default_rng((1000, 27)), 1)
     inst = instance_from_gains(cfg, realize_gains(cfg, gen), active)
     expected = [solve(inst.with_span_bound(b)).maxmin for b in b_values]
     assert list(curve.values[0]) == expected
@@ -336,22 +336,22 @@ def _logging_solve(monkeypatch, cut=None):
 
 
 def test_sweep_brackets_its_bounds(monkeypatch):
-    # b = 12's optimum spans 11 channels and fixes b = 11; b = 3 falls below
-    # it; b = 7, the upper middle of 4..10, reaches the b = 12 value, which
-    # fixes 8..10 as equal to both, and its allocation spans 5 channels,
-    # which fixes 5 and 6; b = 4 is left
+    # b = 12's optimum spans 8 channels and fixes b = 8..11; b = 3 falls
+    # below it; b = 6, the upper middle of 4..7, reaches the b = 12 value,
+    # which fixes 7 as equal to both, and its allocation spans 5 channels,
+    # which fixes 5; b = 4 is left
     b_values = range(3, 13)
     log = _logging_solve(monkeypatch)
     curve = sweep(GRID4X12, b_values, realizations=1,
                   rng=np.random.default_rng((1000, 21)),
                   active_interferers={"A", "B", "C"})
-    assert [b for b, _, _ in log] == [12, 3, 7, 4]
+    assert [b for b, _, _ in log] == [12, 3, 6, 4]
     assert curve.all_proven
     (_, _, top), (_, _, low), (_, _, mid), (_, ceiling, res) = log
-    assert max(top.allocation.spans()) == 11
+    assert max(top.allocation.spans()) == 8
     assert mid.maxmin == top.maxmin
     assert max(mid.allocation.spans()) == 5
-    # b = 4's ceiling is the optimum at b = 5, fixed by b = 7's span
+    # b = 4's ceiling is the optimum at b = 5, fixed by b = 6's span
     assert ceiling == mid.maxmin
     assert low.maxmin == res.maxmin < mid.maxmin
     inst = _abc_draw(21)
@@ -368,20 +368,35 @@ def test_sweep_truncated_solve_below_the_top_fixes_nothing(monkeypatch):
     b_values = range(3, 13)
     log = _logging_solve(monkeypatch, cut=6)
     curve = sweep(GRID4X12, b_values, realizations=1,
-                  rng=np.random.default_rng((1000, 9)),
+                  rng=np.random.default_rng((1000, 35)),
                   active_interferers={"A", "B", "C"})
     assert not curve.all_proven
-    assert [b for b, _, _ in log] == [12, 3, 6, 7, 5, 4, 8]
+    assert [b for b, _, _ in log] == [12, 3, 6, 7, 5, 4]
     cut = log[2][2]
     assert not cut.proven_optimal
     assert all(res.proven_optimal for b, _, res in log if b != 6)
     assert cut.maxmin == log[1][2].maxmin
     assert max(cut.allocation.spans()) == 3
     assert cut.maxmin not in [ceiling for _, ceiling, _ in log]
-    inst = _abc_draw(9)
+    inst = _abc_draw(35)
     exact = [solve(inst.with_span_bound(b)).maxmin for b in b_values]
     assert cut.maxmin < exact[3]
     assert list(curve.values[0]) == exact
+
+
+def test_sweep_node_count_pinned(monkeypatch):
+    # the benchmark's nine timed A,B,C draws: their value-only sweeps take
+    # 17,806 nodes in 58 solves, 1,001 of them at b = 12 (with the tie
+    # order, 41,739 nodes in 50 solves, 11,359 at b = 12)
+    log = _logging_solve(monkeypatch)
+    for entry in (0, 3, 9, 10, 13, 15, 24, 31, 36):
+        curve = sweep(GRID4X12, range(3, 13), realizations=1,
+                      rng=np.random.default_rng((1000, entry)),
+                      active_interferers={"A", "B", "C"})
+        assert curve.all_proven
+    assert len(log) == 58
+    assert sum(res.nodes_explored for _, _, res in log) == 17_806
+    assert sum(res.nodes_explored for b, _, res in log if b == 12) == 1_001
 
 
 def test_shared_tables_are_exact():

@@ -84,6 +84,25 @@ def test_all_interfered_link_gets_zero():
     assert verify_solution(inst, res)
 
 
+@pytest.mark.parametrize("shape, b", [((3, 8), 3), ((4, 12), 4)])
+def test_all_zero_capacities_take_no_node(shape, b):
+    # every allocation ties at (0, 0), so the tie order picks the empty
+    # one, the least matrix, with no search, warm start or not
+    n, m_total = shape
+    inst = _instance(np.zeros(shape), b)
+    empty = [-1] * m_total
+    if m_total <= 8:        # brute_force enumerates 3 x 8, not 4 x 12
+        assert brute_force(inst).allocation.owner_vector() == empty
+    # contiguous blocks of at most b channels
+    warm = AllocationMatrix.from_owner_vector(
+        [m * n // m_total for m in range(m_total)], n)
+    for kwargs in ({}, {"warm_start": warm}):
+        res = solve(inst, **kwargs)
+        assert res.proven_optimal and res.nodes_explored == 0
+        assert res.maxmin == 0.0
+        assert res.allocation.owner_vector() == empty
+
+
 def test_solver_matches_oracle_randomized():
     rng = np.random.default_rng(101)
     for _ in range(60):
@@ -304,6 +323,24 @@ def test_maxmin_exact_to_the_last_bit(cap, b, maxmin):
     res, oracle = solve(inst), brute_force(inst)
     assert res.maxmin.hex() == maxmin == oracle.maxmin.hex()
     assert np.array_equal(res.allocation.entries, oracle.allocation.entries)
+
+
+def test_value_only_maxmin_exact_to_the_last_bit():
+    # near-flat rows within 3 ulps of 5e6, so optima differ only in their
+    # last bits: a value-only solve that counted a link's channels for a
+    # strict gain in floats alone (against inc - r + slack) cut the
+    # optimum's subtree and returned 0x1.312d000000099p+22 at b = 1
+    ulp = 2.0 ** -45
+    cap = np.array([[1 + ulp, 1, 1 + 3 * ulp, 1 + ulp, 1 + 2 * ulp, 1],
+                    [1 + ulp, 1 + 3 * ulp, 1 + ulp, 1 + 3 * ulp, 1,
+                     1 + 3 * ulp]]) * 5e6
+    for b in range(1, 7):
+        inst = _instance(cap, b)
+        res = solve(inst, tie_break=False)
+        assert res.proven_optimal
+        assert res.maxmin.hex() == brute_force(inst).maxmin.hex()
+    res = solve(_instance(cap, 1), tie_break=False)
+    assert res.maxmin.hex() == "0x1.312d0000001cap+22"
 
 
 def test_capacity_that_rounds_away_stays_unassigned():
